@@ -60,7 +60,7 @@ let micro_tests () =
   let module B = Mpicd_bench_types.Bench_types in
   let module Buf = Mpicd_buf.Buf in
   let module Dt = Mpicd_datatype.Datatype in
-  let module Blocks = Mpicd_ddtbench.Blocks in
+  let module Plan = Mpicd_datatype.Plan in
   let count = 64 in
   let src = B.Struct_simple.generate ~count in
   let packed = Buf.create (count * B.Struct_simple.packed_elem_size) in
@@ -91,7 +91,9 @@ let micro_tests () =
         (Staged.stage (fun () -> LU.manual_pack lu_src ~dst:lu_dst));
       Test.make ~name:"nas-lu-y-cursor"
         (Staged.stage (fun () ->
-             ignore (Blocks.pack_range LU.blocks ~base:lu_src ~offset:0 ~dst:lu_dst)));
+             ignore
+               (Plan.pack_range LU.plan ~count:1 ~src:lu_src ~packed_off:0
+                  ~dst:lu_dst)));
       Test.make ~name:"pickle-dumps-inband"
         (Staged.stage (fun () -> ignore (Mpicd_pickle.Pickle.dumps obj)));
       Test.make ~name:"pickle-dumps-oob"

@@ -223,14 +223,6 @@ type crash_outcome =
   | Committed of { group : int list; data : float array; shrinks : int; t : float }
   | Gave_up of { err : string; t : float }
 
-let err_name : Mpi.error -> string = function
-  | Mpi.Peer_failed { peer } -> Printf.sprintf "peer_failed:%d" peer
-  | Mpi.Revoked -> "revoked"
-  | Mpi.Timeout _ -> "timeout"
-  | Mpi.Data_corrupted -> "data_corrupted"
-  | Mpi.Truncated _ -> "truncated"
-  | Mpi.Callback_failed c -> Printf.sprintf "callback_failed:%d" c
-
 let data_digest data =
   Array.fold_left
     (fun acc v -> Int64.add (Int64.mul acc 31L) (Int64.bits_of_float v))
@@ -273,7 +265,9 @@ let run_crash_cell ~plan =
                       t = Engine.now engine })
          | exception Mpi.Mpi_error err ->
              outcomes.(me) <-
-               Some (Gave_up { err = err_name err; t = Engine.now engine }))
+               Some
+                 (Gave_up
+                    { err = Workloads.error_name err; t = Engine.now engine }))
    with e -> failf "crash cell: run raised %s" (Printexc.to_string e));
   (outcomes, Mpi.world_stats w)
 
@@ -568,7 +562,7 @@ let scale_crash_once ~plan =
                  (Mpi.size comm') shrinks data.(0) data.(1) (Engine.now engine)
          | exception Mpi.Mpi_error err ->
              outcomes.(me) <-
-               Printf.sprintf "gave_up %s t=%.0f" (err_name err)
+               Printf.sprintf "gave_up %s t=%.0f" (Workloads.error_name err)
                  (Engine.now engine))
    with e -> failf "scale crash: run raised %s" (Printexc.to_string e));
   (outcomes, Mpi.world_stats w)

@@ -2,7 +2,7 @@ module Mpi = Mpicd.Mpi
 module Monitor = Mpicd.Mpi.Monitor
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
-module Trace = Mpicd_simnet.Trace
+module Stats = Mpicd_simnet.Stats
 
 let analyzer = "comm-match"
 
@@ -250,15 +250,13 @@ let analyze ~subject ~world_size ~deadlocked (m : Monitor.t) =
 type result = {
   findings : Finding.t list;
   deadlocked : bool;
-  trace_counts : (string * int) list;
+  protocol : (string * int) list;
 }
 
 let run ~subject ~size ?(config = Config.default) f =
   let world = Mpi.create_world ~config ~size () in
   let monitor = Monitor.create () in
   Mpi.set_monitor world (Some monitor);
-  let trace = Trace.create () in
-  Mpi.set_trace world (Some trace);
   let aborted = ref None in
   let deadlocked = ref false in
   (try
@@ -284,4 +282,14 @@ let run ~subject ~size ?(config = Config.default) f =
              (Printexc.to_string e))
         :: findings
   in
-  { findings; deadlocked = !deadlocked; trace_counts = Trace.counts trace }
+  let st = Mpi.world_stats world in
+  {
+    findings;
+    deadlocked = !deadlocked;
+    protocol =
+      [
+        ("messages_sent", st.Stats.messages_sent);
+        ("eager_messages", st.Stats.eager_messages);
+        ("rndv_messages", st.Stats.rndv_messages);
+      ];
+  }

@@ -27,8 +27,10 @@ val analyze :
 type result = {
   findings : Finding.t list;
   deadlocked : bool;
-  trace_counts : (string * int) list;
-      (** transport protocol-event histogram of the run *)
+  protocol : (string * int) list;
+      (** the run's message counts by protocol, from the world's
+          {!Mpicd_simnet.Stats}: [messages_sent], [eager_messages] and
+          [rndv_messages] (which includes iovec sends) *)
 }
 
 val run :
@@ -37,7 +39,7 @@ val run :
   ?config:Mpicd_simnet.Config.t ->
   (Mpicd.Mpi.comm -> unit) ->
   result
-(** Convenience driver: create a world of [size] ranks, attach a monitor
-    and a trace, run the SPMD program, and analyze.  A deadlock is
-    caught and analyzed rather than propagated; any other exception
-    escaping a rank is reported as a [MATCH-ABORTED] finding. *)
+(** Convenience driver: create a world of [size] ranks, attach a
+    monitor, run the SPMD program, and analyze.  A deadlock is caught
+    and analyzed rather than propagated; any other exception escaping a
+    rank is reported as a [MATCH-ABORTED] finding. *)

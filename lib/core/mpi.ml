@@ -351,7 +351,6 @@ let world_stats w = w.stats
 let world_config w = w.config
 let world_size w = Array.length w.workers
 let set_unpack_shuffle w ~seed = w.shuffle <- Option.map Rng.create seed
-let set_trace w t = Ucx.set_trace w.ucx t
 let set_monitor w m = w.monitor <- m
 let set_faults w p = Ucx.set_faults w.ucx p
 let faults w = Ucx.faults w.ucx

@@ -21,9 +21,6 @@ module Fft2 = Kernel.Make (struct
 
   let off ~row ~col = ((row * n) + col) * celem
 
-  let blocks =
-    Blocks.of_list (List.init n (fun row -> (off ~row ~col:c0, w * celem)))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for row = 0 to n - 1 do
@@ -66,9 +63,6 @@ module Specfem3d_oc = Kernel.Make (struct
   (* deterministic scrambled-but-increasing index pattern *)
   let indices =
     Array.init m (fun i -> (i * 13 mod 16) + (i * (n / m)))
-
-  let blocks =
-    Blocks.of_list (Array.to_list (Array.map (fun i -> (i * elem, elem)) indices))
 
   let manual_pack base ~dst =
     let pos = ref 0 in
@@ -114,10 +108,6 @@ module Specfem3d_mt = Kernel.Make (struct
      normal form. *)
   let indices = Array.init m (fun i -> ((i * 4) + (i * 7 mod 3)) * 3)
 
-  let blocks =
-    Blocks.of_list
-      (Array.to_list (Array.map (fun p -> (p * elem, 3 * elem)) indices))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     Array.iter
@@ -162,17 +152,6 @@ module Milc_su3_xdown = Kernel.Make (struct
   let slab_bytes = nt * ny * nz * nx * site_bytes
 
   let site_off ~t ~y ~z ~x = ((((t * ny) + y) * nz) + z) * nx + x
-
-  let blocks =
-    Blocks.of_list
-      (List.concat_map
-         (fun t ->
-           List.concat_map
-             (fun y ->
-               List.init nz (fun z ->
-                   (site_off ~t ~y ~z ~x:x0 * site_bytes, site_bytes)))
-             (List.init ny Fun.id))
-         (List.init nt Fun.id))
 
   let manual_pack base ~dst =
     let pos = ref 0 in

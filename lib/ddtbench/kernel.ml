@@ -9,7 +9,6 @@ module type SPEC = sig
   val loop_desc : string
   val regions_sensible : bool
   val slab_bytes : int
-  val blocks : Blocks.t
   val manual_pack : Buf.t -> dst:Buf.t -> unit
   val manual_unpack : src:Buf.t -> Buf.t -> unit
   val derived : Datatype.t
@@ -32,31 +31,13 @@ let fill b =
     Buf.set_u8 b i ((i * 131 + 17) land 0xff)
   done
 
-let hindexed_bytes_of_blocks blocks =
-  let n = Blocks.count blocks in
-  let blocklengths = Array.make n 0 in
-  let displacements_bytes = Array.make n 0 in
-  let i = ref 0 in
-  Blocks.iter blocks ~f:(fun ~off ~len ->
-      blocklengths.(!i) <- len;
-      displacements_bytes.(!i) <- off;
-      incr i);
-  Datatype.hindexed ~blocklengths ~displacements_bytes Datatype.byte
-
 module Make (S : SPEC) : KERNEL = struct
   include S
-
-  let wire_bytes = Blocks.total S.blocks
-  let () =
-    (* the derived datatype must describe the same packed stream *)
-    if Datatype.size S.derived <> wire_bytes then
-      invalid_arg
-        (Printf.sprintf "Kernel %s: derived size %d <> blocks total %d" S.name
-           (Datatype.size S.derived) wire_bytes)
 
   (* Compiled once per kernel (via the global memo cache) and shared by
      every operation; each operation gets its own cursor. *)
   let plan = Plan.get S.derived
+  let wire_bytes = Plan.size plan
 
   let create () =
     let b = Buf.create S.slab_bytes in
@@ -65,21 +46,22 @@ module Make (S : SPEC) : KERNEL = struct
 
   let create_sink () = Buf.create S.slab_bytes
 
-  let equal a b = Blocks.equal_typed S.blocks a b
+  let equal a b =
+    List.for_all2 Buf.equal
+      (Plan.iovec plan ~count:1 ~base:a)
+      (Plan.iovec plan ~count:1 ~base:b)
 
   (* Custom datatype, packing everything through resumable callbacks.
      The per-operation state is a plan cursor, so a transport that walks
      the stream fragment by fragment resumes each callback in O(1)
-     instead of re-deriving the position (and, unlike the old
-     Blocks-based callbacks, [count] now scales the stream instead of
-     being silently ignored). *)
+     instead of re-deriving the position. *)
   let custom_pack : Buf.t Custom.t =
     Custom.create
-      ~pack_pieces:(fun _ ~count:_ -> Blocks.count S.blocks)
+      ~pack_pieces:(fun _ ~count:_ -> Plan.block_count plan)
       {
         state = (fun _ ~count:_ -> Plan.cursor plan);
         state_free = ignore;
-        query = (fun _ _ ~count -> count * Blocks.total S.blocks);
+        query = (fun _ _ ~count -> count * wire_bytes);
         pack =
           (fun cur base ~count ~offset ~dst ->
             Plan.pack_range ~cursor:cur plan ~count ~src:base
@@ -93,7 +75,9 @@ module Make (S : SPEC) : KERNEL = struct
         regions = None;
       }
 
-  (* Custom datatype exposing every block as a zero-copy region. *)
+  (* Custom datatype exposing every block as a zero-copy region.  Plan
+     blocks are already merged, so one element's iovec has exactly
+     [block_count] entries. *)
   let custom_regions : Buf.t Custom.t option =
     if not S.regions_sensible then None
     else
@@ -105,8 +89,11 @@ module Make (S : SPEC) : KERNEL = struct
              query = (fun () _ ~count:_ -> 0);
              pack = (fun () _ ~count:_ ~offset:_ ~dst:_ -> 0);
              unpack = (fun () _ ~count:_ ~offset:_ ~src:_ -> ());
-             region_count = Some (fun () _ ~count:_ -> Blocks.count S.blocks);
-             regions = Some (fun () base ~count:_ -> Blocks.regions S.blocks ~base);
+             region_count = Some (fun () _ ~count:_ -> Plan.block_count plan);
+             regions =
+               Some
+                 (fun () base ~count:_ ->
+                   Array.of_list (Plan.iovec plan ~count:1 ~base));
            })
 end
 

@@ -5,11 +5,11 @@
     Datatypes", EuroMPI'12) models the halo/boundary exchange of a real
     application on a slab of raw memory.  A kernel provides:
 
-    - the exchange's {!Blocks.t} layout inside the slab,
     - hand-written [manual_pack]/[manual_unpack] loop nests (the
       "manual packing using C code" method),
     - a classic derived datatype equivalent (the "MPI datatypes"
-      methods), and
+      methods), whose compiled {!Plan.t} is the exchange layout every
+      other method reads, and
     - via {!Make}, custom-API datatypes: [custom_pack] (pack/unpack
       callbacks resumable at any offset) and, where the paper marks
       memory regions as sensible, [custom_regions] (zero-copy iovecs).
@@ -31,8 +31,6 @@ module type SPEC = sig
   val regions_sensible : bool  (** Table I "Memory Regions" column *)
 
   val slab_bytes : int  (** size of the application's memory slab *)
-
-  val blocks : Blocks.t  (** the exchange layout *)
 
   val manual_pack : Buf.t -> dst:Buf.t -> unit
   val manual_unpack : src:Buf.t -> Buf.t -> unit
@@ -63,8 +61,3 @@ type kernel = (module KERNEL)
 
 val fill : Buf.t -> unit
 (** Deterministic test pattern used by [create]. *)
-
-val hindexed_bytes_of_blocks : Blocks.t -> Datatype.t
-(** Generic derived-datatype equivalent: an hindexed-of-bytes over the
-    block list (used by kernels whose natural MPI type is
-    indexed/struct rather than nested vectors). *)

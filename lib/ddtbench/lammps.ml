@@ -37,14 +37,21 @@ module Config = struct
   let indices c = Array.init c.m (fun i -> i * c.stride mod c.n)
 
   (* Pack order: for each selected particle, each field in turn —
-     the single pack loop over six arrays of the real kernel. *)
-  let blocks c =
+     the single pack loop over six arrays of the real kernel — as an
+     hindexed of bytes with one block per (particle, field). *)
+  let derived c =
     let offsets = field_offsets c in
-    let idx = indices c in
-    Blocks.of_list
-      (Array.to_list idx
+    let blocks =
+      Array.to_list (indices c)
       |> List.concat_map (fun p ->
-             List.map (fun (_, base, bytes) -> (base + (p * bytes), bytes)) offsets))
+             List.map
+               (fun (_, base, bytes) -> (base + (p * bytes), bytes))
+               offsets)
+    in
+    Datatype.hindexed
+      ~blocklengths:(Array.of_list (List.map snd blocks))
+      ~displacements_bytes:(Array.of_list (List.map fst blocks))
+      Datatype.byte
 end
 
 module Make_lammps (C : sig
@@ -61,7 +68,6 @@ end) = Kernel.Make (struct
 
   let regions_sensible = false
   let slab_bytes = Config.slab_bytes C.config
-  let blocks = Config.blocks C.config
 
   let manual_pack base ~dst =
     (* single loop over the index list, packing from all arrays *)
@@ -92,7 +98,7 @@ end) = Kernel.Make (struct
           offsets)
       idx
 
-  let derived = Kernel.hindexed_bytes_of_blocks blocks
+  let derived = Config.derived C.config
 end)
 
 module Full = Make_lammps (struct

@@ -28,14 +28,6 @@ module Spec = struct
   let regions_sensible = true
   let slab_bytes = nt * ny * nz * nx * site_bytes
 
-  let blocks =
-    Blocks.of_list
-      (List.concat_map
-         (fun t ->
-           List.init ny (fun y ->
-               (site_off ~t ~y ~z:z0 ~x:0 * site_bytes, nx * site_bytes)))
-         (List.init nt Fun.id))
-
   (* The real kernel packs float-by-float with five nested loops. *)
   let manual_pack base ~dst =
     let pos = ref 0 in

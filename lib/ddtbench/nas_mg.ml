@@ -33,12 +33,6 @@ module X = Kernel.Make (struct
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
 
-  let blocks =
-    Blocks.of_list
-      (List.concat_map
-         (fun k -> List.init ny (fun j -> (off ~k ~j ~i:ifix, elem)))
-         (List.init nz Fun.id))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
@@ -71,9 +65,6 @@ module Y = Kernel.Make (struct
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
 
-  let blocks =
-    Blocks.of_list (List.init nz (fun k -> (off ~k ~j:jfix ~i:0, nx * elem)))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
@@ -105,8 +96,6 @@ module Z = Kernel.Make (struct
   let loop_desc = "2 nested loops"
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
-
-  let blocks = Blocks.of_list [ (off ~k:kfix ~j:0 ~i:0, ny * nx * elem) ]
 
   let manual_pack base ~dst =
     let pos = ref 0 in

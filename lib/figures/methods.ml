@@ -7,7 +7,6 @@ module Mpi = Mpicd.Mpi
 module H = Mpicd_harness.Harness
 module B = Mpicd_bench_types.Bench_types
 module DV = B.Double_vec
-module Blocks = Mpicd_ddtbench.Blocks
 module Kernel = Mpicd_ddtbench.Kernel
 
 (* --- double-vec (Vec<Vec<i32>>) --- *)
@@ -119,7 +118,7 @@ let k_reference (module K : Kernel.KERNEL) () = bytes_baseline ~total:K.wire_byt
 
 let k_manual (module K : Kernel.KERNEL) () =
   let src = K.create () and sink = K.create_sink () in
-  let pieces = Blocks.count K.blocks in
+  let pieces = Mpicd_datatype.Plan.block_count K.plan in
   {
     H.send =
       (fun comm ~dst ~tag ->

@@ -111,7 +111,6 @@ and context = {
   channels : (int * int, float ref) Hashtbl.t;
       (* per (src,dst) pair: earliest next delivery time, for FIFO order *)
   mutable jitter : (unit -> float) option;
-  mutable trace : Mpicd_simnet.Trace.t option;
   mutable obs : Obs.t;
   mutable faults : Fault.runtime option;
       (* [None] (the default) leaves every fault-free code path exactly
@@ -149,7 +148,6 @@ let create_context ~engine ~config ~stats =
     workers_list = [];
     channels = Hashtbl.create 16;
     jitter = None;
-    trace = None;
     obs = Obs.null;
     faults = None;
     retx_rng = None;
@@ -167,21 +165,8 @@ let stats c = c.stats
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
 let topology c = c.topology
-let set_trace c t = c.trace <- t
 let set_obs c o = c.obs <- o
 let faults c = Option.map Fault.plan c.faults
-
-(* With no trace attached, skip the Format machinery entirely
-   (ikfprintf consumes the arguments without building the string);
-   the guard must come before formatting, not after. *)
-let trace ctx category fmt =
-  match ctx.trace with
-  | None -> Printf.ikfprintf (fun () -> ()) () fmt
-  | Some t ->
-      Printf.ksprintf
-        (fun msg ->
-          Mpicd_simnet.Trace.record t ~time:(Engine.now ctx.engine) ~category msg)
-        fmt
 
 (* --- observability helpers ---
 
@@ -521,7 +506,6 @@ let notify_failure ctx ~rank =
     Hashtbl.replace ctx.failed rank now;
     ctx.any_failed <- true;
     Stats.record_failure_detected ctx.stats;
-    trace ctx "fault" "rank %d declared failed" rank;
     fault_instant ctx ~track:rank ~time:now "rank_failed"
       [ ("rank", Obs.Int rank) ];
     (* detection latency relative to the plan's crash instant *)
@@ -730,8 +714,6 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
     let up = Fault.up_at plan ~src:src_id ~dst:dst_id ~now in
     if up > now then begin
       Stats.record_flap_wait ctx.stats;
-      trace ctx "fault" "link %d->%d down, waiting %.0fns" src_id dst_id
-        (up -. now);
       fault_instant ctx ~track:src_id ~time:now "link_down"
         [ ("until", Obs.Float up) ];
       Engine.sleep e (up -. now)
@@ -791,8 +773,6 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         Engine.sleep e (backoff_sleep attempt);
         incr retx;
         Stats.record_retransmit ctx.stats;
-        trace ctx "fault" "retransmit seq=%d attempt=%d %d->%d" seq
-          (attempt + 1) src_id dst_id;
         fault_instant ctx ~track:src_id ~time:(Engine.now e) "retransmit"
           [ ("seq", Obs.Int seq); ("attempt", Obs.Int (attempt + 1)) ];
         send_frag seq off len (attempt + 1)
@@ -806,20 +786,16 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
     let f_corrupt = fate.Fault.f_corrupt || injected = Some Fault.Inj_corrupt in
     if injected <> None then begin
       Stats.record_injection_fired ctx.stats;
-      trace ctx "fault" "targeted injection mseq=%d frag=%d %d->%d" mseq seq
-        src_id dst_id;
       fault_instant ctx ~track:src_id ~time:now "injection"
         [ ("mseq", Obs.Int mseq); ("frag", Obs.Int seq) ]
     end;
     if dead || f_drop then begin
       if cut && not dead && not fate.Fault.f_drop then begin
         Stats.record_partition_drop ctx.stats;
-        trace ctx "fault" "partition cut %d->%d seq=%d" src_id dst_id seq;
         fault_instant ctx ~track:src_id ~time:now "partition_drop"
           [ ("seq", Obs.Int seq) ]
       end;
       Stats.record_frag_drop ctx.stats;
-      trace ctx "fault" "drop seq=%d %d->%d" seq src_id dst_id;
       fault_instant ctx ~track:src_id ~time:now "frag_drop"
         [ ("seq", Obs.Int seq) ];
       retry `Drop
@@ -839,8 +815,6 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         +. fate.Fault.f_delay_ns
       in
       Stats.record_nack ctx.stats;
-      trace ctx "fault" "corrupt seq=%d %d->%d: crc mismatch, nack" seq src_id
-        dst_id;
       fault_instant ctx ~track:dst_id ~time:(now +. fly) "nack"
         [ ("seq", Obs.Int seq) ];
       (* wait out the corrupted flight plus the nack's return leg *)
@@ -856,15 +830,12 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         Buf.set_u8 delivered (off + byte)
           (Buf.get_u8 delivered (off + byte) lxor (1 lsl bit));
         dirty := true;
-        trace ctx "fault" "corrupt seq=%d %d->%d passed unchecked" seq src_id
-          dst_id;
         fault_instant ctx ~track:dst_id ~time:now "frag_corrupt"
           [ ("seq", Obs.Int seq) ]
       end;
       if fate.Fault.f_dup then begin
         (* the second copy is delivered and suppressed by seq number *)
         Stats.record_frag_dup ctx.stats;
-        trace ctx "fault" "dup seq=%d %d->%d suppressed" seq src_id dst_id;
         fault_instant ctx ~track:dst_id ~time:now "dup_suppressed"
           [ ("seq", Obs.Int seq) ]
       end;
@@ -978,9 +949,6 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
                    packed path before surfacing an error. *)
                 Engine.sleep e x.x_lag (* the bad data had to land first *);
                 Stats.record_iov_fallback ctx.stats;
-                trace ctx "fault"
-                  "iov e2e digest mismatch %d->%d: falling back to packed path"
-                  env.e_src w.id;
                 fault_instant ctx ~track:w.id ~time:(Engine.now e)
                   "iov_fallback"
                   [ ("bytes", Obs.Int size) ];
@@ -997,9 +965,7 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
                 | Ok x2 -> Ok (x2, true))
           in
           match final with
-          | Error err ->
-              trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
-              fail_both err
+          | Error err -> fail_both err
           | Ok (x, fell_back) -> (
               Engine.sleep e x.x_lag (* data lands *);
               let zcopy =
@@ -1227,8 +1193,6 @@ let process_match w (pr : posted) (env : envelope) =
 (* Try to match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
 let deliver w env =
-  trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
-    env.e_tag env.e_total;
   let rec find_posted acc = function
     | [] -> None
     | pr :: rest ->
@@ -1240,7 +1204,6 @@ let deliver w env =
   in
   match find_posted [] w.posted with
   | Some pr ->
-      trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id env.e_tag;
       if obs_on w.ctx then
         Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
           ~cat:"proto"
@@ -1253,8 +1216,6 @@ let deliver w env =
           "match";
       process_match w pr env
   | None ->
-      trace w.ctx "unexpected" "worker %d queued tag=%Lx %dB" w.id env.e_tag
-        env.e_total;
       (* Buffer it.  Eager payloads consume receiver memory. *)
       (match env.e_payload with
       | P_eager _ ->
@@ -1367,8 +1328,6 @@ let ship_rts_reliable ep fr (env : envelope) (req : request) =
                   && not (Engine.Ivar.is_filled req.ivar)
                 then begin
                   Stats.record_delivery_timeout ctx.stats;
-                  trace ctx "fault" "rndv handshake timeout %d->%d tag=%Lx"
-                    ep.ep_src.id ep.ep_dst.id env.e_tag;
                   fault_instant ctx ~track:ep.ep_src.id ~time:(Engine.now e)
                     "rndv_timeout"
                     [ ("dst", Obs.Int ep.ep_dst.id) ];
@@ -1425,8 +1384,6 @@ let tag_send ep ~tag dt =
       (* iovec path: always a single zero-copy rendezvous-style
          transfer; never switches protocol with size. *)
       let entries = List.length bufs in
-      trace ctx "send" "worker %d iov tag=%Lx %dB in %d entries"
-        ep.ep_src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
       Stats.record_iov_entries ctx.stats entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
@@ -1478,7 +1435,6 @@ let tag_send ep ~tag dt =
         | (frags, ncb), cpu_time ->
             let cpu_time = cpu_time *. straggle ctx ep.ep_src.id in
             Engine.sleep e cpu_time;
-            trace ctx "send" "worker %d eager tag=%Lx %dB" ep.ep_src.id tag total;
             Stats.record_message ctx.stats ~eager:true ~wire_bytes:total;
             if obs_on ctx then begin
               observe ctx "msg_bytes_eager" (float_of_int total);
@@ -1591,7 +1547,6 @@ let tag_send ep ~tag dt =
       end
       else begin
         (* Rendezvous: only the RTS travels now. *)
-        trace ctx "send" "worker %d rndv tag=%Lx %dB" ep.ep_src.id tag total;
         Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
         observe ctx "msg_bytes_rndv" (float_of_int total);
         let env =

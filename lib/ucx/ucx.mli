@@ -167,11 +167,6 @@ val msg_recv : worker -> message -> recv_dt -> request
 
 (** {1 Observability} *)
 
-val set_trace : context -> Mpicd_simnet.Trace.t option -> unit
-(** Attach an event trace: protocol decisions (eager/rndv/iov), matches,
-    unexpected arrivals and completions are recorded with virtual
-    timestamps. *)
-
 val set_obs : context -> Mpicd_obs.Obs.t -> unit
 (** Attach a structured span/metrics sink.  Protocol phases (pack, wire,
     rts, rendezvous handshake, unpack) become ["proto"] spans on the

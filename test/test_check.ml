@@ -376,6 +376,42 @@ let test_match_clean_ring () =
     "ring is clean" []
     (ids r.Check.Matchcheck.findings)
 
+(* The protocol summary must count every message, however many: it
+   comes from unbounded counters, not from a bounded event log (a
+   4096-event ring used to under-report runs like this one). *)
+let test_match_protocol_summary_unbounded () =
+  let small = 5000 and large = 3 in
+  let big = Mpicd_simnet.Config.(default.link.eager_limit) + 1 in
+  let r =
+    run_scenario ~size:2 (fun comm ->
+        if Mpi.rank comm = 0 then begin
+          for _ = 1 to small do
+            Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (Buf.create 8))
+          done;
+          for _ = 1 to large do
+            Mpi.send comm ~dst:1 ~tag:1 (Mpi.Bytes (Buf.create big))
+          done
+        end
+        else begin
+          let b = Buf.create 8 in
+          for _ = 1 to small do
+            ignore (Mpi.recv comm ~source:0 ~tag:0 (Mpi.Bytes b))
+          done;
+          let b = Buf.create big in
+          for _ = 1 to large do
+            ignore (Mpi.recv comm ~source:0 ~tag:1 (Mpi.Bytes b))
+          done
+        end)
+  in
+  Alcotest.(check (list (pair string int)))
+    "every message counted"
+    [
+      ("messages_sent", small + large);
+      ("eager_messages", small);
+      ("rndv_messages", large);
+    ]
+    r.Check.Matchcheck.protocol
+
 (* --- report rendering --- *)
 
 let test_report_counts () =
@@ -548,6 +584,8 @@ let suite =
       tc "match: truncation" `Quick test_match_truncation;
       tc "match: unmatched at finalize" `Quick test_match_unmatched;
       tc "match: clean nonblocking ring" `Quick test_match_clean_ring;
+      tc "match: protocol summary counts every message" `Quick
+        test_match_protocol_summary_unbounded;
       tc "report: counts and json" `Quick test_report_counts;
       tc "report: golden finding JSON" `Quick test_json_golden_finding;
       tc "report: schema covers every analyzer" `Quick

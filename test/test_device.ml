@@ -2,7 +2,8 @@
 
 module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
-module Blocks = Mpicd_ddtbench.Blocks
+module Dt = Mpicd_datatype.Datatype
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module D = Mpicd_device.Device
 module H = Mpicd_harness.Harness
@@ -11,8 +12,14 @@ let check_int = Alcotest.(check int)
 
 (* a sparse strided layout: 16 KiB of halo data scattered through a
    256 KiB slab (staging the whole slab is 16x the useful bytes) *)
-let blocks =
-  Blocks.of_list (List.init 64 (fun i -> (i * 4096, 256)))
+let layout = Dt.hvector ~count:64 ~blocklength:256 ~stride_bytes:4096 Dt.byte
+let plan = Plan.get layout
+let wire = Plan.size plan
+
+let typed_equal a b =
+  List.for_all2 Buf.equal
+    (Plan.iovec plan ~count:1 ~base:a)
+    (Plan.iovec plan ~count:1 ~base:b)
 
 let slab_bytes = 256 * 1024
 
@@ -47,25 +54,25 @@ let test_pack_kernel_correct () =
     (in_world (fun comm ->
          let src = D.create D.Device slab_bytes in
          Mpicd_ddtbench.Kernel.fill (D.data src);
-         let packed = D.create D.Device (Blocks.total blocks) in
-         D.pack_kernel comm blocks ~src ~dst:packed;
+         let packed = D.create D.Device wire in
+         D.pack_kernel comm ~plan ~src ~dst:packed;
          (* reference pack on plain memory *)
-         let expect = Buf.create (Blocks.total blocks) in
-         ignore (Blocks.pack_range blocks ~base:(D.data src) ~offset:0 ~dst:expect);
+         let expect = Buf.create wire in
+         ignore (Dt.pack layout ~count:1 ~src:(D.data src) ~dst:expect);
          Alcotest.(check bool) "device pack = reference" true
            (Buf.equal expect (D.data packed));
          (* scatter back into a fresh slab *)
          let sink = D.create D.Device slab_bytes in
-         D.unpack_kernel comm blocks ~src:packed ~dst:sink;
+         D.unpack_kernel comm ~plan ~src:packed ~dst:sink;
          Alcotest.(check bool) "roundtrip" true
-           (Blocks.equal_typed blocks (D.data src) (D.data sink))))
+           (typed_equal (D.data src) (D.data sink))))
 
 let test_space_mismatch () =
   ignore
     (in_world (fun comm ->
          let src = D.create D.Device slab_bytes in
-         let dst = D.create D.Host (Blocks.total blocks) in
-         match D.pack_kernel comm blocks ~src ~dst with
+         let dst = D.create D.Host wire in
+         match D.pack_kernel comm ~plan ~src ~dst with
          | () -> Alcotest.fail "expected Space_mismatch"
          | exception D.Space_mismatch _ -> ()))
 
@@ -94,8 +101,7 @@ let test_cost_ordering () =
     true (d2h > 2. *. d2d)
 
 let method_bw m =
-  (H.pingpong ~reps:3 ~bytes:(Blocks.total blocks)
-     (D.exchange_impl m ~blocks ~slab_bytes))
+  (H.pingpong ~reps:3 ~bytes:wire (D.exchange_impl m ~plan ~slab_bytes))
     .H.bandwidth_mib_s
 
 let test_methods_ordering () =
@@ -123,17 +129,17 @@ let test_exchange_delivers () =
         let src = D.create D.Device slab_bytes in
         Buf.blit ~src:reference ~src_pos:0 ~dst:(D.data src) ~dst_pos:0
           ~len:slab_bytes;
-        let packed = D.create D.Device (Blocks.total blocks) in
-        D.pack_kernel comm blocks ~src ~dst:packed;
+        let packed = D.create D.Device wire in
+        D.pack_kernel comm ~plan ~src ~dst:packed;
         Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (D.data packed))
       end
       else begin
-        let packed = D.create D.Device (Blocks.total blocks) in
+        let packed = D.create D.Device wire in
         ignore (Mpi.recv comm ~source:0 ~tag:0 (Mpi.Bytes (D.data packed)));
         let sink = D.create D.Device slab_bytes in
-        D.unpack_kernel comm blocks ~src:packed ~dst:sink;
+        D.unpack_kernel comm ~plan ~src:packed ~dst:sink;
         Alcotest.(check bool) "typed bytes on peer device" true
-          (Blocks.equal_typed blocks reference (D.data sink))
+          (typed_equal reference (D.data sink))
       end)
 
 let suite =

@@ -475,11 +475,13 @@ let test_jitter_preserves_fifo () =
   Engine.run engine
 
 let test_trace_records_protocols () =
+  let module Obs = Mpicd_obs.Obs in
+  let module Metrics = Mpicd_obs.Metrics in
   let engine = Engine.create () in
   let stats = Stats.create () in
   let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
-  let tr = Mpicd_simnet.Trace.create () in
-  Ucx.set_trace ctx (Some tr);
+  let obs = Obs.create () in
+  Ucx.set_obs ctx obs;
   let w0 = Ucx.create_worker ctx in
   let w1 = Ucx.create_worker ctx in
   let ep = Ucx.connect w0 w1 in
@@ -493,12 +495,23 @@ let test_trace_records_protocols () =
       expect_ok
         (Ucx.wait (Ucx.tag_recv w1 ~tag:2L ~mask:(-1L) (Ucx.Rd_iov [ Buf.create 64 ]))));
   Engine.run engine;
-  let module Trace = Mpicd_simnet.Trace in
-  check_int "two sends traced" 2 (List.length (Trace.find tr ~category:"send"));
-  check_int "two arrivals" 2 (List.length (Trace.find tr ~category:"arrive"));
-  Alcotest.(check bool) "timestamps monotone" true
-    (let ts = List.map (fun (e : Trace.event) -> e.time) (Trace.events tr) in
-     List.sort compare ts = ts)
+  let sends name = Metrics.count (Metrics.histogram (Obs.metrics obs) name) in
+  check_int "eager send observed" 1 (sends "msg_bytes_eager");
+  check_int "iov send observed" 1 (sends "msg_bytes_iov");
+  let matches =
+    List.filter
+      (fun (i : Obs.instant) -> i.i_cat = "proto" && i.i_name = "match")
+      (Obs.instants obs)
+  in
+  check_int "two matches" 2 (List.length matches);
+  (* instants come back sorted by time; the messages must match in send
+     order at strictly increasing times *)
+  match matches with
+  | [ a; b ] ->
+      Alcotest.(check bool) "timestamps monotone" true (a.i_time < b.i_time);
+      Alcotest.(check bool) "send order" true
+        (List.assoc "mseq" a.i_args < List.assoc "mseq" b.i_args)
+  | _ -> Alcotest.fail "expected two match instants"
 
 (* CRC32 (IEEE 802.3, reflected, as used by the wire checksums) against
    the published check value and a couple of structural identities. *)
