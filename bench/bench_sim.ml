@@ -1,6 +1,6 @@
 (* Wall-clock throughput benchmark of the simulation engine.
 
-   Two layers are measured:
+   Three things are measured:
 
    - queue churn ("hold" pattern): pop the minimum event and push a
      replacement at a later time, holding the number of live events
@@ -17,17 +17,35 @@
      over flat and fat-tree networks, and reports wall-clock events/sec
      plus peak live events and pool hit rate.
 
+   - rank sweep: one 4-double allreduce plus a barrier over a flat
+     network at 256, 1024 and 4096 ranks (host ns per event), and an
+     empty create-world + run at each size (host us per rank).  Sizes
+     run interleaved, one of each per round, so a slow spell of the
+     host lands on every size alike.
+
    Usage:
      bench_sim.exe [--smoke] [--out FILE]
 
    Writes a JSON report (default BENCH_SIM.json) and exits nonzero if
    the pooled queue fails the >= 5x events/sec guard over the seed
-   binary heap at the 1k hold level. *)
+   binary heap at the 1k hold level, or if per-event cost grows with
+   world size: host ns per event at 4096 ranks above 2x that at 1024,
+   or words allocated per event at 4096 above 1.5x that at 256.
+
+   The time guard's base is 1024 ranks, not 256: a 256-rank world's
+   working set fits a per-core L2 cache, so host ns per event steps up
+   ~1.5-2x between 256 and 1024 ranks with no algorithmic cause (words
+   per event stay flat).  Taken from 256, the ratio read 1.5-2.0 over
+   repeated runs of the same code; from 1024 it reads 1.1-1.5, while a
+   per-resume scan of every suspended fiber reads 2.8-3.1.  The
+   allocation ratio does not depend on host speed or caches, so it
+   keeps the 256 row in the guard. *)
 
 module Heap = Mpicd_simnet.Heap
 module Evq = Mpicd_simnet.Evq
 module Topology = Mpicd_simnet.Topology
 module Harness = Mpicd_harness.Harness
+module Mpi = Mpicd.Mpi
 
 let now = Monotonic_clock.now
 
@@ -153,6 +171,75 @@ let json_of_engine_row e =
     (r.Harness.congestion_wait_ns /. 1e6)
     r.Harness.checksum
 
+type sweep_row = {
+  s_ranks : int;
+  s_events : int;
+  s_ns : float;  (* median wall of the allreduce + barrier run *)
+  s_words : float;  (* words allocated by that run *)
+  s_empty_ns : float;  (* median wall of an empty create-world + run *)
+}
+
+let ns_per_event r = r.s_ns /. float_of_int r.s_events
+let words_per_event r = r.s_words /. float_of_int r.s_events
+let us_per_rank r = r.s_empty_ns /. 1e3 /. float_of_int r.s_ranks
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let wall_ns f =
+  let t0 = now () in
+  f ();
+  Int64.to_float (Int64.sub (now ()) t0)
+
+(* [rounds] measured rounds after one warm-up round; each round runs
+   every size once, the allreduce then the empty world. *)
+let rank_sweep ~rounds sizes =
+  let sizes = Array.of_list sizes in
+  let k = Array.length sizes in
+  let run_ns = Array.make_matrix k rounds 0.
+  and empty_ns = Array.make_matrix k rounds 0.
+  and events = Array.make k 0
+  and words = Array.make k 0. in
+  for round = -1 to rounds - 1 do
+    Array.iteri
+      (fun i ranks ->
+        let w0 = Gc.allocated_bytes () in
+        let ns =
+          wall_ns (fun () ->
+              let r = Harness.scale_allreduce ~iters:1 ~elems:4 ~ranks () in
+              events.(i) <- r.Harness.events)
+        in
+        words.(i) <- (Gc.allocated_bytes () -. w0) /. 8.;
+        let ens =
+          wall_ns (fun () -> Mpi.run (Mpi.create_world ~size:ranks ()) ignore)
+        in
+        if round >= 0 then begin
+          run_ns.(i).(round) <- ns;
+          empty_ns.(i).(round) <- ens
+        end)
+      sizes
+  done;
+  List.init k (fun i ->
+      {
+        s_ranks = sizes.(i);
+        s_events = events.(i);
+        s_ns = median run_ns.(i);
+        s_words = words.(i);
+        s_empty_ns = median empty_ns.(i);
+      })
+
+let json_of_sweep_row r =
+  Printf.sprintf
+    {|    { "ranks": %d, "events": %d, "wall_ms": %.2f, "ns_per_event": %.0f,
+      "words_per_event": %.1f, "empty_wall_ms": %.2f, "empty_us_per_rank": %.2f }|}
+    r.s_ranks r.s_events (r.s_ns /. 1e6) (ns_per_event r) (words_per_event r)
+    (r.s_empty_ns /. 1e6) (us_per_rank r)
+
+let max_rank_scaling = 2.0
+let max_alloc_scaling = 1.5
+
 let () =
   let smoke = ref false and out = ref "BENCH_SIM.json" in
   let rec parse = function
@@ -182,10 +269,21 @@ let () =
     in
     at 1024 @ (if !smoke then [] else at 4096)
   in
+  let sweep_rows = rank_sweep ~rounds:(if !smoke then 3 else 7) [ 256; 1024; 4096 ] in
   let r1k = List.find (fun r -> r.q_live = 1024) queue_rows in
-  (* The tentpole guard: at the 1k-rank hold level the pooled calendar
-     queue must move events at >= 5x the seed binary heap's rate. *)
-  let guard_ok = q_speedup r1k >= 5.0 in
+  (* At the 1k-rank hold level the pooled calendar queue must move
+     events at >= 5x the seed binary heap's rate. *)
+  let queue_ok = q_speedup r1k >= 5.0 in
+  (* Linear rank scaling: per-event host time and allocation at the
+     largest world within a constant of the smaller ones. *)
+  let row n = List.find (fun r -> r.s_ranks = n) sweep_rows in
+  let rank_scaling = ns_per_event (row 4096) /. ns_per_event (row 1024) in
+  let rank_scaling_256 = ns_per_event (row 4096) /. ns_per_event (row 256) in
+  let alloc_scaling = words_per_event (row 4096) /. words_per_event (row 256) in
+  let scaling_ok =
+    rank_scaling <= max_rank_scaling && alloc_scaling <= max_alloc_scaling
+  in
+  let guard_ok = queue_ok && scaling_ok in
   let oc = open_out !out in
   Printf.fprintf oc
     {|{
@@ -197,9 +295,17 @@ let () =
   "engine": [
 %s
   ],
+  "rank_sweep": [
+%s
+  ],
   "guard": {
     "min_speedup_1k": 5.0,
     "speedup_1k": %.3f,
+    "max_rank_scaling_4096_1024": %.1f,
+    "rank_scaling_4096_1024": %.3f,
+    "rank_scaling_4096_256": %.3f,
+    "max_alloc_scaling_4096_256": %.1f,
+    "alloc_scaling_4096_256": %.3f,
     "ok": %b
   }
 }
@@ -207,7 +313,9 @@ let () =
     !smoke reps
     (String.concat ",\n" (List.map json_of_queue_row queue_rows))
     (String.concat ",\n" (List.map json_of_engine_row engine_rows))
-    (q_speedup r1k) guard_ok;
+    (String.concat ",\n" (List.map json_of_sweep_row sweep_rows))
+    (q_speedup r1k) max_rank_scaling rank_scaling rank_scaling_256
+    max_alloc_scaling alloc_scaling guard_ok;
   close_out oc;
   List.iter
     (fun r ->
@@ -225,6 +333,17 @@ let () =
         (events_per_sec e.e_result.Harness.events e.e_wall_ns)
         e.e_result.Harness.max_live (e.e_wall_ns /. 1e6))
     engine_rows;
+  List.iter
+    (fun r ->
+      Printf.printf
+        "sweep  ranks=%-5d %6.0f ns/event  %5.1f words/event  empty %5.2f us/rank  wall=%.1f ms\n"
+        r.s_ranks (ns_per_event r) (words_per_event r) (us_per_rank r) (r.s_ns /. 1e6))
+    sweep_rows;
   Printf.printf "1k-hold speedup: %.2fx; guard (>=5x): %s\n" (q_speedup r1k)
-    (if guard_ok then "ok" else "FAIL");
+    (if queue_ok then "ok" else "FAIL");
+  Printf.printf
+    "rank scaling ns/event 4096/1024: %.2fx (<=%.1fx), 4096/256: %.2fx; \
+     words/event 4096/256: %.2fx (<=%.1fx); guard: %s\n"
+    rank_scaling max_rank_scaling rank_scaling_256 alloc_scaling max_alloc_scaling
+    (if scaling_ok then "ok" else "FAIL");
   if not guard_ok then exit 1

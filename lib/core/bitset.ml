@@ -22,10 +22,13 @@ let add t i =
   check t i "add";
   t.bits.(i / 63) <- t.bits.(i / 63) lor (1 lsl (i mod 63))
 
+(* Whole limbs at once: one store per 63 ranks, not one [add] per rank
+   (every member of an N-rank shrink builds one). *)
 let full n =
   let t = create n in
-  for i = 0 to n - 1 do
-    add t i
+  for k = 0 to limbs n - 1 do
+    let w = min 63 (n - (63 * k)) in
+    t.bits.(k) <- (if w = 63 then -1 else (1 lsl w) - 1)
   done;
   t
 

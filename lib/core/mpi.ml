@@ -124,13 +124,39 @@ type oentry = {
   oe_internal : bool;  (* posted on the Internal (collective) channel *)
 }
 
+(* The part of a communicator every member shares, built once per
+   communicator: its membership and id.  Per-rank state lives in the
+   small [comm] handle below, so a world of N ranks holds one N-entry
+   group, not N of them. *)
+type comm_shared = {
+  group : int array;  (* comm rank -> world rank *)
+  moved : (int, int) Hashtbl.t;
+      (* world rank -> comm rank, for members whose comm rank differs
+         from their world rank; members with [group.(r) = r] need no
+         entry, so the world communicator's table is empty *)
+  cid : int;  (* communicator id, part of the tag space *)
+}
+
+let make_shared ~cid group =
+  let moved = Hashtbl.create 1 in
+  Array.iteri (fun i wr -> if wr <> i then Hashtbl.replace moved wr i) group;
+  { group; moved; cid }
+
+(* Comm rank of [world_rank] in [sh], or -1 for a non-member.  Group
+   entries are distinct, so the identity test's hit is the answer. *)
+let comm_rank_of sh world_rank =
+  let g = sh.group in
+  if world_rank >= 0 && world_rank < Array.length g && g.(world_rank) = world_rank
+  then world_rank
+  else Option.value ~default:(-1) (Hashtbl.find_opt sh.moved world_rank)
+
 (* Shared-state slot for the fault-tolerant agreement protocol behind
    [comm_agree] and [comm_shrink].  Each participant folds its
    contribution in and the slot completes once every group member has
    either contributed or been declared failed — so the death of a
    participant can never block the survivors. *)
 type agree_slot = {
-  s_group : int array;  (* comm rank -> world rank *)
+  s_comm : comm_shared;  (* the agreeing communicator *)
   s_combine : int -> int -> int;
   s_shrink : bool;  (* completion allocates a cid and a survivor set *)
   mutable s_acc : int;  (* combined agreed value *)
@@ -143,14 +169,25 @@ type agree_slot = {
       (* shrink only: union of the contributors' observed-failure sets;
          completion excludes these ranks from the survivor set *)
   s_contrib : Bitset.t;  (* comm ranks that contributed *)
+  mutable s_pending : int;
+      (* members that have neither contributed nor been declared
+         failed; the slot completes when it reaches 0 *)
   mutable s_result : int option;
       (* combined value; [s_contrib]/[s_ack_acc] are frozen once set
          (late contributors take the completed branch and never
          mutate them) *)
-  mutable s_new_cid : int;  (* shrink only; -1 until completion *)
-  mutable s_survivors : int array;  (* shrink only; comm ranks, at completion *)
+  mutable s_unacked : int;
+      (* agree only, fixed at completion: the first comm rank that
+         neither contributed nor was acknowledged by every contributor,
+         or -1 *)
+  mutable s_shrunk : comm_shared option;
+      (* shrink only, fixed at completion: the survivor communicator *)
   mutable s_waiters : int Engine.resumer list;
 }
+
+(* Registered operations of one rank, with their count, so registering
+   is O(1) between prunes. *)
+type outstanding = { mutable ops : oentry list; mutable n_ops : int }
 
 type world = {
   engine : Engine.t;
@@ -158,6 +195,10 @@ type world = {
   stats : Stats.t;
   ucx : Ucx.context;
   workers : Ucx.worker array;
+  world_comm : comm_shared;  (* the world communicator's shared record *)
+  split_comms : (int, comm_shared) Hashtbl.t;
+      (* cid -> shared record of a communicator made by [comm_split],
+         built once by the split's root *)
   eps : (int * int, Ucx.endpoint) Hashtbl.t;
       (* (src, dst) -> endpoint, created on first use: a dense N^2
          array is prohibitive at thousands of ranks, and most pairs
@@ -169,7 +210,7 @@ type world = {
   errh : (int, errhandler) Hashtbl.t;  (* cid -> handler; absent = raise *)
   last_errors : (int * int, error) Hashtbl.t;  (* (cid, comm rank) -> error *)
   (* --- resilience state (all empty on a healthy run) --- *)
-  outstanding : (int, oentry list ref) Hashtbl.t;
+  outstanding : (int, outstanding) Hashtbl.t;
       (* world rank -> its pending operations, for cancellation *)
   revoked : (int, float) Hashtbl.t;  (* cid -> first revoke time *)
   revoked_seen : (int * int, float) Hashtbl.t;
@@ -183,11 +224,12 @@ type world = {
       (* (cid, opcode, per-rank call index) -> agreement slot *)
 }
 
+(* One rank's handle on a communicator: the shared record plus the
+   per-rank call counters. *)
 type comm = {
   w : world;
+  sh : comm_shared;
   c_rank : int;  (* rank within this communicator *)
-  group : int array;  (* comm rank -> world rank *)
-  cid : int;  (* communicator id, part of the tag space *)
   mutable bar_seq : int;
   mutable agree_seq : int;  (* per-rank [comm_agree] call index *)
   mutable shrink_seq : int;  (* per-rank [comm_shrink] call index *)
@@ -205,9 +247,10 @@ let alloc_cid w =
 let cancel_outstanding w ~owner ~pred err =
   match Hashtbl.find_opt w.outstanding owner with
   | None -> ()
-  | Some lr ->
-      let live = List.filter (fun e -> not (Ucx.is_completed e.oe_req)) !lr in
-      lr := live;
+  | Some o ->
+      let live = List.filter (fun e -> not (Ucx.is_completed e.oe_req)) o.ops in
+      o.ops <- live;
+      o.n_ops <- List.length live;
       List.iter
         (fun e ->
           if pred e then
@@ -217,18 +260,21 @@ let cancel_outstanding w ~owner ~pred err =
 let register_outstanding w (e : oentry) =
   if Ucx.is_completed e.oe_req then ()
   else begin
-    let lr =
+    let o =
       match Hashtbl.find_opt w.outstanding e.oe_rank with
-      | Some lr -> lr
+      | Some o -> o
       | None ->
-          let lr = ref [] in
-          Hashtbl.add w.outstanding e.oe_rank lr;
-          lr
+          let o = { ops = []; n_ops = 0 } in
+          Hashtbl.add w.outstanding e.oe_rank o;
+          o
     in
     (* bound the list: drop completed entries once it grows *)
-    if List.length !lr > 64 then
-      lr := List.filter (fun e -> not (Ucx.is_completed e.oe_req)) !lr;
-    lr := e :: !lr
+    if o.n_ops > 64 then begin
+      o.ops <- List.filter (fun e -> not (Ucx.is_completed e.oe_req)) o.ops;
+      o.n_ops <- List.length o.ops
+    end;
+    o.ops <- e :: o.ops;
+    o.n_ops <- o.n_ops + 1
   end
 
 (* Complete an agreement slot if every group member has contributed or
@@ -238,30 +284,34 @@ let try_complete_slot w (slot : agree_slot) =
   match slot.s_result with
   | Some _ -> ()
   | None ->
-      let n = Array.length slot.s_group in
-      let all = ref true in
-      for i = 0 to n - 1 do
-        if
-          (not (Bitset.mem slot.s_contrib i))
-          && not (Ucx.is_failed w.ucx ~rank:slot.s_group.(i))
-        then all := false
-      done;
-      if !all then begin
+      if slot.s_pending = 0 then begin
+        let group = slot.s_comm.group in
+        let n = Array.length group in
         if slot.s_shrink then begin
           Stats.record_comm_shrink w.stats;
-          slot.s_new_cid <- alloc_cid w;
+          let cid = alloc_cid w in
           (* survivor set, fixed once at completion time so every
              caller — however late — sees the same membership *)
           let surv = ref [] in
           for i = n - 1 downto 0 do
             if
               (not (Bitset.mem slot.s_failed i))
-              && not (Ucx.is_failed w.ucx ~rank:slot.s_group.(i))
-            then surv := i :: !surv
+              && not (Ucx.is_failed w.ucx ~rank:group.(i))
+            then surv := group.(i) :: !surv
           done;
-          slot.s_survivors <- Array.of_list !surv
+          slot.s_shrunk <- Some (make_shared ~cid (Array.of_list !surv))
         end
-        else Stats.record_comm_agreement w.stats;
+        else begin
+          Stats.record_comm_agreement w.stats;
+          let i = ref 0 in
+          while
+            !i < n
+            && (Bitset.mem slot.s_contrib !i || Bitset.mem slot.s_ack_acc !i)
+          do
+            incr i
+          done;
+          if !i < n then slot.s_unacked <- !i
+        end;
         let r = slot.s_acc in
         slot.s_result <- Some r;
         if Obs.enabled w.obs then
@@ -293,10 +343,28 @@ let handle_rank_failure w ~rank ~time =
       else
         cancel_outstanding w ~owner ~pred:(fun e -> e.oe_peer = rank) err)
     w.outstanding;
-  Hashtbl.iter (fun _ slot -> try_complete_slot w slot) w.slots
+  Hashtbl.iter
+    (fun _ slot ->
+      if slot.s_result = None then begin
+        let i = comm_rank_of slot.s_comm rank in
+        if i >= 0 && not (Bitset.mem slot.s_contrib i) then
+          slot.s_pending <- slot.s_pending - 1;
+        try_complete_slot w slot
+      end)
+    w.slots
+
+(* The transport tag's source field is 15 bits wide (see the tag
+   encoding below): a larger world would alias rank 32768 to rank 0. *)
+let max_world_size = 0x7FFF
 
 let create_world ?(config = Config.default) ?topology ~size () =
   if size < 1 then invalid_arg "Mpi.create_world: size must be >= 1";
+  if size > max_world_size then
+    invalid_arg
+      (Printf.sprintf
+         "Mpi.create_world: size %d exceeds the %d-rank limit of the tag's \
+          source field"
+         size max_world_size);
   (match topology with
   | Some topo when Topology.nranks topo < size ->
       invalid_arg
@@ -318,6 +386,8 @@ let create_world ?(config = Config.default) ?topology ~size () =
       stats;
       ucx;
       workers;
+      world_comm = make_shared ~cid:0 (Array.init size Fun.id);
+      split_comms = Hashtbl.create 1;
       eps;
       shuffle = None;
       next_cid = 1;
@@ -367,21 +437,20 @@ let comm_for_rank w r =
   if r < 0 || r >= world_size w then invalid_arg "Mpi.comm_for_rank: bad rank";
   {
     w;
+    sh = w.world_comm;
     c_rank = r;
-    group = Array.init (world_size w) Fun.id;
-    cid = 0;
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;
   }
 
-let set_errhandler c h = Hashtbl.replace c.w.errh c.cid h
+let set_errhandler c h = Hashtbl.replace c.w.errh c.sh.cid h
 
 let get_errhandler c =
-  Option.value ~default:Errors_raise (Hashtbl.find_opt c.w.errh c.cid)
+  Option.value ~default:Errors_raise (Hashtbl.find_opt c.w.errh c.sh.cid)
 
-let last_error c = Hashtbl.find_opt c.w.last_errors (c.cid, c.c_rank)
-let clear_last_error c = Hashtbl.remove c.w.last_errors (c.cid, c.c_rank)
+let last_error c = Hashtbl.find_opt c.w.last_errors (c.sh.cid, c.c_rank)
+let clear_last_error c = Hashtbl.remove c.w.last_errors (c.sh.cid, c.c_rank)
 
 let spawn_rank w r f =
   let comm = comm_for_rank w r in
@@ -395,9 +464,9 @@ let run w f =
   Engine.run w.engine
 
 let rank c = c.c_rank
-let size c = Array.length c.group
+let size c = Array.length c.sh.group
 let world_of c = c.w
-let world_rank_of c r = c.group.(r)
+let world_rank_of c r = c.sh.group.(r)
 
 let any_source = -1
 let any_tag = -1
@@ -488,7 +557,7 @@ let cpu c = c.w.config.cpu
 let guard f =
   try f () with Custom.Error code -> raise (Mpi_error (Callback_failed code))
 
-let my_world_rank c = c.group.(c.c_rank)
+let my_world_rank c = c.sh.group.(c.c_rank)
 
 (* Tile [n] per-callback spans uniformly across a phase interval and
    feed the per-callback cost histogram (cf. Ucx's internal helper). *)
@@ -763,10 +832,7 @@ let lower_error : error -> Ucx.error = function
 
 (* Statuses report communicator-relative source ranks: translate the
    world rank in the wire tag back through the group. *)
-let comm_source c world_rank =
-  let n = Array.length c.group in
-  let rec find i = if i >= n then -1 else if c.group.(i) = world_rank then i else find (i + 1) in
-  find 0
+let comm_source c world_rank = comm_rank_of c.sh world_rank
 
 let decode_status c (st : Ucx.status) =
   { source = comm_source c (decode_source st.tag); tag = decode_utag st.tag; len = st.len }
@@ -880,13 +946,13 @@ let make_request ?span ?(force_raise = false) c ucx_req cleanup =
               | Errors_return ->
                   (* degraded continuation: stash the error for
                      [last_error] and hand back a zero-length status *)
-                  Hashtbl.replace c.w.last_errors (c.cid, c.c_rank) err;
+                  Hashtbl.replace c.w.last_errors (c.sh.cid, c.c_rank) err;
                   decode_status c u)
         | None -> decode_status c u);
     outcome = None;
     r_engine = c.w.engine;
     r_obs = c.w.obs;
-    r_track = c.group.(c.c_rank);
+    r_track = c.sh.group.(c.c_rank);
   }
 
 let check_dst c r name =
@@ -916,10 +982,10 @@ let monitor_record c kind ~op_kind ~peer ~tag ~blocking buf (ureq : Ucx.request)
         {
           id = Monitor.fresh_id m;
           kind = op_kind;
-          rank = c.group.(c.c_rank);
+          rank = c.sh.group.(c.c_rank);
           peer;
           tag;
-          cid = c.cid;
+          cid = c.sh.cid;
           channel_kind = kind_code kind;
           dt_class;
           signature;
@@ -1016,12 +1082,12 @@ let op_span c ~blocking ~send ~peer ~tag buf =
    ULFM, stay pending: a live sender may still match them). *)
 let fail_fast c kind ~peer_world : Ucx.error option =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
-  if Hashtbl.mem w.revoked_seen (c.cid, me) then Some Ucx.Revoked
+  let me = c.sh.group.(c.c_rank) in
+  if Hashtbl.mem w.revoked_seen (c.sh.cid, me) then Some Ucx.Revoked
   else
     match
       if kind_code kind = kind_code Internal0.Internal then
-        Hashtbl.find_opt w.col_poison (c.cid, me)
+        Hashtbl.find_opt w.col_poison (c.sh.cid, me)
       else None
     with
     | Some err -> Some (lower_error err)
@@ -1040,8 +1106,8 @@ let isend_gen c kind ~blocking ~dst ~tag buf =
   check_dst c dst "isend";
   check_user_tag tag;
   let span = op_span c ~blocking ~send:true ~peer:dst ~tag buf in
-  let me = c.group.(c.c_rank) and peer = c.group.(dst) in
-  let t64 = encode_tag ~src:me ~kind ~cid:c.cid ~utag:tag in
+  let me = c.sh.group.(c.c_rank) and peer = c.sh.group.(dst) in
+  let t64 = encode_tag ~src:me ~kind ~cid:c.sh.cid ~utag:tag in
   let force_raise = force_raise_of kind in
   match fail_fast c kind ~peer_world:peer with
   | Some err ->
@@ -1056,7 +1122,7 @@ let isend_gen c kind ~blocking ~dst ~tag buf =
         {
           oe_req = req;
           oe_tag = t64;
-          oe_cid = c.cid;
+          oe_cid = c.sh.cid;
           oe_rank = me;
           oe_peer = peer;
           oe_internal = force_raise;
@@ -1066,9 +1132,9 @@ let isend_gen c kind ~blocking ~dst ~tag buf =
 let irecv_gen c kind ~blocking ?(source = any_source) ?(tag = any_tag) buf =
   if source <> any_source then check_dst c source "irecv";
   let span = op_span c ~blocking ~send:false ~peer:source ~tag buf in
-  let me = c.group.(c.c_rank) in
-  let source = if source = any_source then any_source else c.group.(source) in
-  let t64, mask = recv_tag_mask ~kind ~cid:c.cid ~source ~tag in
+  let me = c.sh.group.(c.c_rank) in
+  let source = if source = any_source then any_source else c.sh.group.(source) in
+  let t64, mask = recv_tag_mask ~kind ~cid:c.sh.cid ~source ~tag in
   let force_raise = force_raise_of kind in
   match fail_fast c kind ~peer_world:source with
   | Some err ->
@@ -1085,7 +1151,7 @@ let irecv_gen c kind ~blocking ?(source = any_source) ?(tag = any_tag) buf =
         {
           oe_req = req;
           oe_tag = t64;
-          oe_cid = c.cid;
+          oe_cid = c.sh.cid;
           oe_rank = me;
           oe_peer = source;
           oe_internal = force_raise;
@@ -1116,10 +1182,10 @@ let probe_status c (info : Ucx.probe_info) =
   }
 
 let probe_args c kind source tag =
-  let source = if source = any_source then any_source else c.group.(source) in
-  recv_tag_mask ~kind ~cid:c.cid ~source ~tag
+  let source = if source = any_source then any_source else c.sh.group.(source) in
+  recv_tag_mask ~kind ~cid:c.sh.cid ~source ~tag
 
-let my_worker c = c.w.workers.(c.group.(c.c_rank))
+let my_worker c = c.w.workers.(c.sh.group.(c.c_rank))
 
 let iprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
   let t64, mask = probe_args c kind source tag in
@@ -1161,19 +1227,21 @@ let mrecv c msg buf = mrecv_k c Internal0.User msg buf
    working communicator from the survivors. *)
 
 let failed_ranks c =
-  (* comm ranks of this communicator's members declared failed *)
-  let acc = ref [] in
-  for i = Array.length c.group - 1 downto 0 do
-    if Ucx.is_failed c.w.ucx ~rank:c.group.(i) then acc := i :: !acc
-  done;
-  !acc
+  (* comm ranks of this communicator's members declared failed, from
+     the transport's failed set: O(failures), not O(group) *)
+  if not (Ucx.any_failures c.w.ucx) then []
+  else
+    Ucx.failed_ranks c.w.ucx
+    |> List.filter_map (fun wr ->
+           match comm_rank_of c.sh wr with -1 -> None | i -> Some i)
+    |> List.sort compare
 
 let comm_failure_ack c =
-  Hashtbl.replace c.w.acked (c.cid, c.group.(c.c_rank)) (failed_ranks c)
+  Hashtbl.replace c.w.acked (c.sh.cid, c.sh.group.(c.c_rank)) (failed_ranks c)
 
 let comm_get_acked c =
   Option.value ~default:[]
-    (Hashtbl.find_opt c.w.acked (c.cid, c.group.(c.c_rank)))
+    (Hashtbl.find_opt c.w.acked (c.sh.cid, c.sh.group.(c.c_rank)))
 
 (* Apply the communicator's error handler to a collective-level error:
    raise it, abort the rank, or stash it and continue degraded. *)
@@ -1181,7 +1249,7 @@ let collective_error c err =
   match get_errhandler c with
   | Errors_raise -> raise (Mpi_error err)
   | Errors_abort -> raise (Aborted { rank = c.c_rank; error = err })
-  | Errors_return -> Hashtbl.replace c.w.last_errors (c.cid, c.c_rank) err
+  | Errors_return -> Hashtbl.replace c.w.last_errors (c.sh.cid, c.c_rank) err
 
 (* The error, if any, that dooms a collective on [c] before it starts:
    a seen revocation, an earlier poisoned collective, or a declared-
@@ -1189,23 +1257,18 @@ let collective_error c err =
    communicator when any member has failed). *)
 let collective_ready c =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
-  if Hashtbl.mem w.revoked_seen (c.cid, me) then Some Revoked
+  let me = c.sh.group.(c.c_rank) in
+  if Hashtbl.mem w.revoked_seen (c.sh.cid, me) then Some Revoked
   else
-    match Hashtbl.find_opt w.col_poison (c.cid, me) with
+    match Hashtbl.find_opt w.col_poison (c.sh.cid, me) with
     | Some err -> Some err
     | None ->
         if Ucx.any_failures w.ucx then
           if Ucx.is_failed w.ucx ~rank:me then Some (Peer_failed { peer = me })
           else
-            let n = Array.length c.group in
-            let rec chk i =
-              if i >= n then None
-              else if Ucx.is_failed w.ucx ~rank:c.group.(i) then
-                Some (Peer_failed { peer = c.group.(i) })
-              else chk (i + 1)
-            in
-            chk 0
+            match failed_ranks c with
+            | [] -> None
+            | i :: _ -> Some (Peer_failed { peer = c.sh.group.(i) })
         else None
 
 (* A collective that observed [err] poisons the operation for its peers:
@@ -1217,12 +1280,12 @@ let collective_ready c =
    dead rank cannot notify anyone. *)
 let poison_collective c err =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
+  let me = c.sh.group.(c.c_rank) in
   let mark rank =
-    if not (Hashtbl.mem w.col_poison (c.cid, rank)) then begin
-      Hashtbl.replace w.col_poison (c.cid, rank) err;
+    if not (Hashtbl.mem w.col_poison (c.sh.cid, rank)) then begin
+      Hashtbl.replace w.col_poison (c.sh.cid, rank) err;
       cancel_outstanding w ~owner:rank
-        ~pred:(fun e -> e.oe_internal && e.oe_cid = c.cid)
+        ~pred:(fun e -> e.oe_internal && e.oe_cid = c.sh.cid)
         (lower_error err)
     end
   in
@@ -1233,7 +1296,7 @@ let poison_collective c err =
         if peer <> me then
           Engine.at w.engine ~delay:w.config.link.latency_ns (fun () ->
               mark peer))
-      c.group
+      c.sh.group
 
 (* Deliver a revocation to one rank: every pending operation that rank
    has on the communicator — any channel — completes with [Revoked],
@@ -1252,7 +1315,7 @@ let deliver_revoke w ~cid ~rank =
   end
 
 let comm_revoked c =
-  Hashtbl.mem c.w.revoked_seen (c.cid, c.group.(c.c_rank))
+  Hashtbl.mem c.w.revoked_seen (c.sh.cid, c.sh.group.(c.c_rank))
 
 (* Revoke the communicator (ULFM MPI_Comm_revoke).  Local effect is
    immediate; every other member learns of it one link latency later.
@@ -1273,33 +1336,33 @@ end
 
 let comm_revoke c =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
+  let me = c.sh.group.(c.c_rank) in
   (* A rank already declared failed revokes only locally: a dead rank
      cannot notify anyone, and it must not claim the one-shot broadcast
      flag either — a survivor revoking later still owes its peers the
      notification. *)
   let alive = not (Ucx.is_failed w.ucx ~rank:me) in
-  let first = not (Hashtbl.mem w.revoked c.cid) in
+  let first = not (Hashtbl.mem w.revoked c.sh.cid) in
   if first && (alive || !Mutation.revoke_oneshot) then begin
     let t0 = Engine.now w.engine in
-    Hashtbl.replace w.revoked c.cid t0;
+    Hashtbl.replace w.revoked c.sh.cid t0;
     if alive then begin
       Stats.record_comm_revoke w.stats;
       if Obs.enabled w.obs then
         ignore
           (Obs.span_complete w.obs ~track:me ~cat:"resilience" ~t0
              ~t1:(t0 +. w.config.link.latency_ns)
-             ~args:[ ("cid", Obs.Int c.cid) ]
+             ~args:[ ("cid", Obs.Int c.sh.cid) ]
              "revoke_propagation");
       Array.iter
         (fun peer ->
           if peer <> me then
             Engine.at w.engine ~delay:w.config.link.latency_ns (fun () ->
-                deliver_revoke w ~cid:c.cid ~rank:peer))
-        c.group
+                deliver_revoke w ~cid:c.sh.cid ~rank:peer))
+        c.sh.group
     end
   end;
-  deliver_revoke w ~cid:c.cid ~rank:me
+  deliver_revoke w ~cid:c.sh.cid ~rank:me
 
 (* Shared engine of [comm_agree]/[comm_shrink]: contribute an integer
    into the slot for this call index, complete it if possible, and wait
@@ -1308,7 +1371,7 @@ let comm_revoke c =
    on a dead rank: the failure listener re-checks slots. *)
 let agree_gen c ~opcode ~shrink ~init ~combine ~contribution ~ack ~failed =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
+  let me = c.sh.group.(c.c_rank) in
   let n = size c in
   if Ucx.is_failed w.ucx ~rank:me then
     raise (Mpi_error (Peer_failed { peer = me }));
@@ -1324,23 +1387,24 @@ let agree_gen c ~opcode ~shrink ~init ~combine ~contribution ~ack ~failed =
       s
     end
   in
-  let key = (c.cid, opcode, seq) in
+  let key = (c.sh.cid, opcode, seq) in
   let slot =
     match Hashtbl.find_opt w.slots key with
     | Some s -> s
     | None ->
         let s =
           {
-            s_group = c.group;
+            s_comm = c.sh;
             s_combine = combine;
             s_shrink = shrink;
             s_acc = init;
             s_ack_acc = Bitset.full n;
             s_failed = Bitset.create n;
             s_contrib = Bitset.create n;
+            s_pending = n - List.length (failed_ranks c);
             s_result = None;
-            s_new_cid = -1;
-            s_survivors = [||];
+            s_unacked = -1;
+            s_shrunk = None;
             s_waiters = [];
           }
         in
@@ -1354,6 +1418,7 @@ let agree_gen c ~opcode ~shrink ~init ~combine ~contribution ~ack ~failed =
       Bitset.inter_into slot.s_ack_acc ack;
       Bitset.union_into slot.s_failed failed;
       Bitset.add slot.s_contrib c.c_rank;
+      slot.s_pending <- slot.s_pending - 1;
       try_complete_slot w slot);
   let result =
     match slot.s_result with
@@ -1386,14 +1451,8 @@ let comm_agree c ~flags =
     agree_gen c ~opcode:0 ~shrink:false ~init:(lnot 0) ~combine:( land )
       ~contribution:flags ~ack:ack_set ~failed:(Bitset.create n)
   in
-  let unacked = ref [] in
-  for i = n - 1 downto 0 do
-    if (not (Bitset.mem slot.s_contrib i)) && not (Bitset.mem slot.s_ack_acc i)
-    then unacked := i :: !unacked
-  done;
-  (match !unacked with
-  | [] -> ()
-  | i :: _ -> collective_error c (Peer_failed { peer = c.group.(i) }));
+  if slot.s_unacked >= 0 then
+    collective_error c (Peer_failed { peer = c.sh.group.(slot.s_unacked) });
   value
 
 (* Rebuild a working communicator from the survivors (ULFM
@@ -1404,38 +1463,32 @@ let comm_agree c ~flags =
    renumbering (ordered by old comm rank). *)
 let comm_shrink c =
   let w = c.w in
-  let me = c.group.(c.c_rank) in
+  let me = c.sh.group.(c.c_rank) in
   let n = size c in
-  let known = Bitset.create n in
-  Array.iteri
-    (fun i wr -> if Ucx.is_failed w.ucx ~rank:wr then Bitset.add known i)
-    c.group;
+  let known = Bitset.of_list n (failed_ranks c) in
   let slot, _ =
     agree_gen c ~opcode:1 ~shrink:true ~init:0 ~combine:( lor )
       ~contribution:0 ~ack:(Bitset.full n) ~failed:known
   in
-  let survivors = slot.s_survivors in
-  let new_cid = slot.s_new_cid in
+  let sh = Option.get slot.s_shrunk in
   if Obs.enabled w.obs then
     Obs.instant w.obs ~time:(Engine.now w.engine) ~track:me ~cat:"resilience"
       ~args:
-        [ ("cid", Obs.Int c.cid); ("new_cid", Obs.Int new_cid);
-          ("survivors", Obs.Int (Array.length survivors)) ]
+        [ ("cid", Obs.Int c.sh.cid); ("new_cid", Obs.Int sh.cid);
+          ("survivors", Obs.Int (Array.length sh.group)) ]
       "comm_shrink";
-  let my_new_rank = ref (-1) in
-  Array.iteri (fun i cr -> if cr = c.c_rank then my_new_rank := i) survivors;
-  if !my_new_rank < 0 then
+  let my_new_rank = comm_rank_of sh me in
+  if my_new_rank < 0 then
     (* we were presumed dead (or revoked out): no seat in the new comm *)
     raise (Mpi_error (Peer_failed { peer = me }));
   (* the shrunk communicator inherits the parent's error handler *)
-  (match Hashtbl.find_opt w.errh c.cid with
-  | Some h -> Hashtbl.replace w.errh new_cid h
+  (match Hashtbl.find_opt w.errh c.sh.cid with
+  | Some h -> Hashtbl.replace w.errh sh.cid h
   | None -> ());
   {
     w;
-    c_rank = !my_new_rank;
-    group = Array.map (fun cr -> c.group.(cr)) survivors;
-    cid = new_cid;
+    sh;
+    c_rank = my_new_rank;
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;
@@ -1496,72 +1549,70 @@ let comm_split c ~color ~key =
   let me = c.c_rank in
   (* phase 1: gather (color, key) at comm rank 0; phase 2: rank 0
      allocates one fresh cid per colour and broadcasts the full table *)
-  let table = Array.make n (0, 0, 0) (* color, key, cid *) in
-  if me = 0 then begin
-    table.(0) <- (color, key, 0);
-    for i = 1 to n - 1 do
+  let my_cid =
+    if me = 0 then begin
+      let table = Array.make n (color, key) in
+      for i = 1 to n - 1 do
+        let b = Buf.create 16 in
+        ignore (recv_k c Internal0.Internal ~source:i ~tag (Bytes b));
+        table.(i) <- (Int64.to_int (Buf.get_i64 b 0), Int64.to_int (Buf.get_i64 b 8))
+      done;
+      let colors = Array.to_list table |> List.map fst |> List.sort_uniq compare in
+      let cid_of_color = List.map (fun col -> (col, alloc_cid c.w)) colors in
+      (* each colour's shared record, built once here for all its
+         members: old ranks ordered by (colour, key, old rank) *)
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun i j ->
+          let (ci, ki), (cj, kj) = (table.(i), table.(j)) in
+          if ci <> cj then compare ci cj
+          else if ki <> kj then compare ki kj
+          else compare i j)
+        order;
+      let start = ref 0 in
+      while !start < n do
+        let col = fst table.(order.(!start)) in
+        let stop = ref !start in
+        while !stop < n && fst table.(order.(!stop)) = col do
+          incr stop
+        done;
+        let cid = List.assoc col cid_of_color in
+        Hashtbl.replace c.w.split_comms cid
+          (make_shared ~cid
+             (Array.init (!stop - !start) (fun m -> c.sh.group.(order.(!start + m)))));
+        start := !stop
+      done;
+      let out = Buf.create (24 * n) in
+      Array.iteri
+        (fun i (col, k) ->
+          Buf.set_i64 out (24 * i) (Int64.of_int col);
+          Buf.set_i64 out ((24 * i) + 8) (Int64.of_int k);
+          Buf.set_i64 out ((24 * i) + 16) (Int64.of_int (List.assoc col cid_of_color)))
+        table;
+      for i = 1 to n - 1 do
+        send_k c Internal0.Internal ~dst:i ~tag:(tag + 1) (Bytes out)
+      done;
+      List.assoc color cid_of_color
+    end
+    else begin
       let b = Buf.create 16 in
-      ignore (recv_k c Internal0.Internal ~source:i ~tag (Bytes b));
-      table.(i) <-
-        (Int64.to_int (Buf.get_i64 b 0), Int64.to_int (Buf.get_i64 b 8), 0)
-    done;
-    let colors =
-      Array.to_list table |> List.map (fun (c, _, _) -> c) |> List.sort_uniq compare
-    in
-    let cid_of_color = List.map (fun col -> (col, alloc_cid c.w)) colors in
-    Array.iteri
-      (fun i (col, k, _) -> table.(i) <- (col, k, List.assoc col cid_of_color))
-      table;
-    let out = Buf.create (24 * n) in
-    Array.iteri
-      (fun i (col, k, cid) ->
-        Buf.set_i64 out (24 * i) (Int64.of_int col);
-        Buf.set_i64 out ((24 * i) + 8) (Int64.of_int k);
-        Buf.set_i64 out ((24 * i) + 16) (Int64.of_int cid))
-      table;
-    for i = 1 to n - 1 do
-      send_k c Internal0.Internal ~dst:i ~tag:(tag + 1) (Bytes out)
-    done
-  end
-  else begin
-    let b = Buf.create 16 in
-    Buf.set_i64 b 0 (Int64.of_int color);
-    Buf.set_i64 b 8 (Int64.of_int key);
-    send_k c Internal0.Internal ~dst:0 ~tag (Bytes b);
-    let inc = Buf.create (24 * n) in
-    ignore (recv_k c Internal0.Internal ~source:0 ~tag:(tag + 1) (Bytes inc));
-    for i = 0 to n - 1 do
-      table.(i) <-
-        ( Int64.to_int (Buf.get_i64 inc (24 * i)),
-          Int64.to_int (Buf.get_i64 inc ((24 * i) + 8)),
-          Int64.to_int (Buf.get_i64 inc ((24 * i) + 16)) )
-    done
-  end;
-  (* members of my colour, ordered by (key, old rank) *)
-  let my_color, _, my_cid = table.(me) in
-  let members =
-    Array.to_list (Array.mapi (fun i (col, k, _) -> (col, k, i)) table)
-    |> List.filter (fun (col, _, _) -> col = my_color)
-    |> List.sort (fun (_, k1, r1) (_, k2, r2) -> compare (k1, r1) (k2, r2))
-    |> List.map (fun (_, _, r) -> r)
+      Buf.set_i64 b 0 (Int64.of_int color);
+      Buf.set_i64 b 8 (Int64.of_int key);
+      send_k c Internal0.Internal ~dst:0 ~tag (Bytes b);
+      let inc = Buf.create (24 * n) in
+      ignore (recv_k c Internal0.Internal ~source:0 ~tag:(tag + 1) (Bytes inc));
+      Int64.to_int (Buf.get_i64 inc ((24 * me) + 16))
+    end
   in
-  let group = Array.of_list (List.map (fun r -> c.group.(r)) members) in
-  let new_rank =
-    let rec idx i = function
-      | [] -> assert false
-      | r :: rest -> if r = me then i else idx (i + 1) rest
-    in
-    idx 0 members
-  in
+  let sh = Hashtbl.find c.w.split_comms my_cid in
   (* child communicators inherit the parent's error handler *)
-  (match Hashtbl.find_opt c.w.errh c.cid with
+  (match Hashtbl.find_opt c.w.errh c.sh.cid with
   | Some h -> Hashtbl.replace c.w.errh my_cid h
   | None -> ());
   {
     w = c.w;
-    c_rank = new_rank;
-    group;
-    cid = my_cid;
+    sh;
+    c_rank = comm_rank_of sh (my_world_rank c);
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;

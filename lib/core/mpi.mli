@@ -40,8 +40,9 @@ val create_world :
     congestion-aware serialization ({!Mpicd_simnet.Topology});
     endpoints are created lazily so worlds of thousands of ranks
     don't pay an N{^2} setup cost.
-    @raise Invalid_argument if the topology has fewer ranks than
-    [size]. *)
+    @raise Invalid_argument if [size] is below 1 or above 32767 (the
+    transport tag's source field is 15 bits wide), or if the topology
+    has fewer ranks than [size]. *)
 
 val world_engine : world -> Engine.t
 val world_stats : world -> Stats.t

@@ -1,12 +1,23 @@
 module Obs = Mpicd_obs.Obs
 module Metrics = Mpicd_obs.Metrics
 
+(* Intrusive doubly-linked ring of suspended fibers, newest first.
+   Each fiber owns one node for its lifetime and links it while it is
+   suspended, so suspend and resume are O(1) and allocation-free; the
+   ring is walked only to name the blocked fibers in a [Deadlock]. *)
+type snode = {
+  s_id : int;
+  s_name : string;
+  mutable prev : snode;
+  mutable next : snode;
+}
+
 type t = {
   mutable clock : float;
   events : (unit -> unit) Evq.t;
   mutable seq : int;
   mutable live : int;
-  mutable suspended_names : (int * string) list;
+  suspended : snode;  (* ring sentinel *)
   mutable fiber_ids : int;
   mutable obs : Obs.t;
   mutable stats : Stats.t option;
@@ -25,13 +36,17 @@ type _ Effect.t +=
   | Sleep : t * float -> unit Effect.t
   | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
 
+let new_snode id name =
+  let rec n = { s_id = id; s_name = name; prev = n; next = n } in
+  n
+
 let create () =
   {
     clock = 0.;
     events = Evq.create ();
     seq = 0;
     live = 0;
-    suspended_names = [];
+    suspended = new_snode 0 "";
     fiber_ids = 0;
     obs = Obs.null;
     stats = None;
@@ -92,11 +107,25 @@ let sleep t d =
   Effect.perform (Sleep (t, d))
 let suspend t register = Effect.perform (Suspend (t, register))
 
-let mark_suspended t id name =
-  t.suspended_names <- (id, name) :: t.suspended_names
+let mark_suspended t n =
+  let head = t.suspended in
+  n.prev <- head;
+  n.next <- head.next;
+  head.next.prev <- n;
+  head.next <- n
 
-let mark_resumed t id =
-  t.suspended_names <- List.filter (fun (i, _) -> i <> id) t.suspended_names
+let mark_resumed n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev;
+  n.prev <- n;
+  n.next <- n
+
+let suspended_names t =
+  let rec go n acc =
+    if n == t.suspended then List.rev acc
+    else go n.next (Printf.sprintf "%s#%d" n.s_name n.s_id :: acc)
+  in
+  go t.suspended.next []
 
 let exec_fiber t ~id ~name ~track f =
   let open Effect.Deep in
@@ -110,6 +139,7 @@ let exec_fiber t ~id ~name ~track f =
         name
     else Obs.null_span
   in
+  let node = new_snode id name in
   let fiber_instant what =
     if Obs.enabled t.obs then
       Obs.instant t.obs ~time:t.clock ~track ~cat:"fiber"
@@ -134,13 +164,13 @@ let exec_fiber t ~id ~name ~track f =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let resumed = ref false in
-                  mark_suspended t id name;
+                  mark_suspended t node;
                   fiber_instant "suspend";
                   let resume v =
                     if !resumed then
                       invalid_arg "Engine: resumer invoked twice";
                     resumed := true;
-                    mark_resumed t id;
+                    mark_resumed node;
                     fiber_instant "resume";
                     schedule t ~delay:0. (fun () -> continue k v)
                   in
@@ -165,11 +195,7 @@ let run t =
   let rec loop () =
     if Evq.is_empty t.events then begin
       if t.live > 0 then begin
-        let names =
-          t.suspended_names
-          |> List.map (fun (id, n) -> Printf.sprintf "%s#%d" n id)
-          |> String.concat ", "
-        in
+        let names = String.concat ", " (suspended_names t) in
         raise
           (Deadlock
              (Printf.sprintf

@@ -26,10 +26,11 @@
 
    Resizing: when [len] outgrows [2 * nbuckets] (or falls below
    [nbuckets / 8]) the bucket array is rebuilt at ~[len] buckets with
-   [width] re-estimated as the live events' time span divided by their
-   count — so a pop's forward scan meets about one event per bucket
-   regardless of scale.  Far-future outliers (e.g. timeout sentinels)
-   would widen that estimate; they are clamped to a terminal virtual
+   [width] re-estimated as the time span of the earlier half of the
+   live events divided by their count — so a pop's forward scan meets
+   about one event per bucket regardless of scale, and far-future
+   outliers (a failure detector's wake-up, timeout sentinels) do not
+   widen it.  Events past [max_vbf] are clamped to a terminal virtual
    bucket and recovered by the direct-search fallback, which also
    bounds any pop at O(nbuckets) when the window scan wraps a whole
    year without finding a head.
@@ -71,6 +72,10 @@ type 'a t = {
   mutable pushes : int;
   mutable reuses : int;
   mutable max_live : int;
+  (* finger: the entry placed by the last mid-bucket insert, where the
+     next one usually lands too; -1 once it is popped or rebuilt *)
+  mutable finger : int;
+  mutable finger_b : int;  (* its bucket *)
 }
 
 let initial_capacity = 256
@@ -107,6 +112,8 @@ let create () =
     pushes = 0;
     reuses = 0;
     max_live = 0;
+    finger = -1;
+    finger_b = -1;
   }
 
 let is_empty t = t.len = 0
@@ -135,7 +142,11 @@ let grow_entries t =
 
 (* Link entry [e] (with key [time], [seq]) into bucket [b], keeping
    the list sorted by [(time, seq)].  The tail check comes first: the
-   engine schedules forward in time, so appends dominate. *)
+   engine schedules forward in time, so appends dominate.  A mid-bucket
+   insert walks from the finger when it precedes the key: thousands of
+   ranks charging identical costs put long runs of equal timestamps in
+   one bucket, and the inserts that land behind such a run come in
+   ascending order, so each would otherwise walk the whole run. *)
 let bucket_insert t b e time seq =
   let tl = Array.unsafe_get t.tails b in
   if tl < 0 then begin
@@ -157,7 +168,16 @@ let bucket_insert t b e time seq =
       end
       else begin
         (* walk to the last node whose key precedes [(time, seq)] *)
-        let p = ref hd in
+        let f = t.finger in
+        let p =
+          if
+            f >= 0 && t.finger_b = b
+            &&
+            let ft = Array.unsafe_get t.times f in
+            ft < time || (ft = time && Array.unsafe_get t.seqs f < seq)
+          then ref f
+          else ref hd
+        in
         let continue = ref true in
         while !continue do
           let nx = Array.unsafe_get t.nexts !p in
@@ -170,30 +190,39 @@ let bucket_insert t b e time seq =
           end
         done;
         Array.unsafe_set t.nexts e (Array.unsafe_get t.nexts !p);
-        Array.unsafe_set t.nexts !p e
+        Array.unsafe_set t.nexts !p e;
+        t.finger <- e;
+        t.finger_b <- b
       end
     end
   end
 
 (* Rebuild the bucket array at ~[len] buckets, re-estimating [width]
-   from the live events' span.  O(len + nbuckets); the thresholds in
-   [push]/[pop_min] make it amortized O(1). *)
+   from the live events: the time span of the earlier half of them over
+   their count.  Events near the head set the width, so far-future
+   outliers (detector wake-ups, timeouts) cannot widen it and pile the
+   near events into a few long buckets; for evenly spread events it is
+   the whole span over the count.  Falls back to the whole span when
+   the earlier half shares one timestamp.  O(len log len + nbuckets);
+   the thresholds in [push]/[pop_min] make it amortized O(1). *)
 let resize t =
   let n = t.len in
-  let entries = Array.make (max n 1) 0 in
+  let entries = Array.make n 0 in
   let k = ref 0 in
-  let tmin = ref infinity and tmax = ref neg_infinity in
   for b = 0 to t.nbuckets - 1 do
     let e = ref t.heads.(b) in
     while !e >= 0 do
       entries.(!k) <- !e;
       incr k;
-      let tt = t.times.(!e) in
-      if tt < !tmin then tmin := tt;
-      if tt > !tmax then tmax := tt;
       e := t.nexts.(!e)
     done
   done;
+  let cmp a b =
+    let c = compare t.times.(a) t.times.(b) in
+    if c <> 0 then c else compare t.seqs.(a) t.seqs.(b)
+  in
+  (* reinsert in sorted order so every insert is a tail append *)
+  Array.sort cmp entries;
   let nb = ref initial_buckets in
   while !nb < n do
     nb := !nb * 2
@@ -202,18 +231,20 @@ let resize t =
   t.mask <- !nb - 1;
   t.heads <- Array.make !nb (-1);
   t.tails <- Array.make !nb (-1);
-  let span = !tmax -. !tmin in
-  let w = if n <= 1 || span <= 0. then 1.0 else span /. float_of_int n in
+  let w =
+    if n <= 1 then 1.0
+    else
+      let time i = t.times.(entries.(i)) in
+      let half = n / 2 in
+      let near = time half -. time 0 and span = time (n - 1) -. time 0 in
+      if near > 0. then near /. float_of_int half
+      else if span > 0. then span /. float_of_int n
+      else 1.0
+  in
   let w = if w < 1e-9 then 1e-9 else w in
   t.width <- w;
   t.inv_width <- 1. /. w;
-  let entries = Array.sub entries 0 n in
-  let cmp a b =
-    let c = compare t.times.(a) t.times.(b) in
-    if c <> 0 then c else compare t.seqs.(a) t.seqs.(b)
-  in
-  (* reinsert in sorted order so every insert is a tail append *)
-  Array.sort cmp entries;
+  t.finger <- -1;
   if n > 0 then t.cur_vb <- vbucket t t.times.(entries.(0));
   Array.iter
     (fun e ->
@@ -292,10 +323,12 @@ let scan t =
       (* a head inside the cursor's window is the global minimum:
          windows below [cur_vb] have been drained (or the cursor was
          pulled back by [push]), and within a window only this bucket
-         can hold events *)
-      if
-        h >= 0
-        && Array.unsafe_get t.times h < float_of_int (t.cur_vb + 1) *. t.width
+         can hold events.  The window test recomputes the head's
+         virtual bucket with [vbucket], the function that placed it:
+         comparing its time against [(cur_vb + 1) * width] instead
+         rounds differently at large [time / width], skips a head
+         still inside the window and pops a later one first. *)
+      if h >= 0 && vbucket t (Array.unsafe_get t.times h) <= t.cur_vb
       then begin
         found := h;
         fb := b
@@ -322,6 +355,7 @@ let pop_min t =
   let nx = Array.unsafe_get t.nexts e in
   Array.unsafe_set t.heads b nx;
   if nx < 0 then Array.unsafe_set t.tails b (-1);
+  if e = t.finger then t.finger <- -1;
   let v = Array.unsafe_get t.slots e in
   Array.unsafe_set t.slots e (Obj.magic 0);
   Array.unsafe_set t.free_stack t.nfree e;

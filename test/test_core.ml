@@ -6,6 +6,8 @@ module Config = Mpicd_simnet.Config
 module Dt = Mpicd_datatype.Datatype
 module Custom = Mpicd.Custom
 module Mpi = Mpicd.Mpi
+module Fault = Mpicd_simnet.Fault
+module Coll = Mpicd_collectives.Collectives
 
 let check_int = Alcotest.(check int)
 
@@ -103,6 +105,89 @@ let test_world_basics () =
 let test_bad_world () =
   Alcotest.check_raises "size 0" (Invalid_argument "Mpi.create_world: size must be >= 1")
     (fun () -> ignore (Mpi.create_world ~size:0 ()))
+
+(* The tag's 15-bit source field caps the world at 32767 ranks; a
+   larger world is rejected before anything is built (the allocation
+   check shows no worker, engine or group was made). *)
+let test_world_size_limit () =
+  let before = Gc.allocated_bytes () in
+  (match Mpi.create_world ~size:32768 () with
+  | _ -> Alcotest.fail "a 32768-rank world was accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the limit"
+        "Mpi.create_world: size 32768 exceeds the 32767-rank limit of the \
+         tag's source field"
+        msg);
+  let words = (Gc.allocated_bytes () -. before) /. 8. in
+  Alcotest.(check bool)
+    (Printf.sprintf "nothing built (%.0f words allocated)" words)
+    true (words < 1024.)
+
+(* Communicator set-up is O(1) per rank: the world's group is one
+   shared array, not one per rank (N words each). *)
+let test_world_alloc_per_rank () =
+  let n = 4096 in
+  let before = Gc.allocated_bytes () in
+  let w = Mpi.create_world ~size:n () in
+  Mpi.run w ignore;
+  let per_rank = (Gc.allocated_bytes () -. before) /. 8. /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words/rank < 512" per_rank)
+    true (per_rank < 512.)
+
+(* [status.source] against a linear scan of the group, on communicators
+   whose ranks differ from the world's: a split with reversed keys (the
+   middle rank keeps its number) and a communicator shrunk around a
+   crashed rank.  Every member sends its world rank to every other;
+   each any-source receive (and the probe before it) must report the
+   comm rank the scan finds for that world rank. *)
+let scan_comm_rank comm world_rank =
+  let rec go i =
+    if i >= Mpi.size comm then -1
+    else if Mpi.world_rank_of comm i = world_rank then i
+    else go (i + 1)
+  in
+  go 0
+
+let check_sources comm =
+  let me = Mpi.rank comm and n = Mpi.size comm in
+  let out = Buf.create 8 in
+  Buf.set_i64 out 0 (Int64.of_int (Mpi.world_rank_of comm me));
+  let sends =
+    List.filter_map
+      (fun dst -> if dst = me then None else Some (Mpi.isend comm ~dst ~tag:5 (Mpi.Bytes out)))
+      (List.init n Fun.id)
+  in
+  for _ = 1 to n - 1 do
+    let probed = Mpi.probe comm ~tag:5 () in
+    let inc = Buf.create 8 in
+    let st = Mpi.recv comm ~source:probed.source ~tag:5 (Mpi.Bytes inc) in
+    let expect = scan_comm_rank comm (Int64.to_int (Buf.get_i64 inc 0)) in
+    check_int "probe source = scan" expect probed.source;
+    check_int "recv source = scan" expect st.source
+  done;
+  ignore (Mpi.waitall sends)
+
+let test_comm_source_differential () =
+  let n = 5 in
+  let w = Mpi.create_world ~size:n () in
+  Mpi.run w (fun comm ->
+      let rev = Mpi.comm_split comm ~color:0 ~key:(-Mpi.rank comm) in
+      check_int "reversed rank" (n - 1 - Mpi.rank comm) (Mpi.rank rev);
+      check_sources rev);
+  let w = Mpi.create_world ~size:n () in
+  (match Fault.of_string "crash=1@1,hb=100000" with
+  | Ok p -> Mpi.set_faults w (Some p)
+  | Error e -> Alcotest.fail e);
+  let checked = ref 0 in
+  Mpi.run w (fun comm ->
+      match Coll.resilient_allreduce_f64 comm ~op:`Sum [| 1. |] with
+      | comm', _ ->
+          check_int "survivors" (n - 1) (Mpi.size comm');
+          check_sources comm';
+          incr checked
+      | exception Mpi.Mpi_error (Mpi.Peer_failed _) -> ());
+  check_int "every survivor checked" (n - 1) !checked
 
 let test_bytes_roundtrip () =
   let w = Mpi.create_world ~size:2 () in
@@ -867,4 +952,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_storm;
       QCheck_alcotest.to_alcotest prop_wire_equivalence;
       QCheck_alcotest.to_alcotest prop_comm_split_partitions;
+      tc "world size limit" `Quick test_world_size_limit;
+      tc "world set-up allocates O(1) per rank" `Quick test_world_alloc_per_rank;
+      tc "comm_source = linear scan" `Quick test_comm_source_differential;
     ] )

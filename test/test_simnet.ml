@@ -144,6 +144,29 @@ let test_deadlock_detection () =
         in
         contains msg "stuck"))
 
+(* The deadlock report names every blocked fiber, most recent
+   suspension first: "a" was resumed once and blocked again, so it
+   leads. *)
+let test_deadlock_names_order () =
+  let e = Engine.create () in
+  let never : unit Engine.Ivar.t = Engine.Ivar.create () in
+  let wake : unit Engine.Ivar.t = Engine.Ivar.create () in
+  Engine.spawn e ~name:"a" (fun () ->
+      Engine.Ivar.read e wake;
+      Engine.Ivar.read e never);
+  Engine.spawn e ~name:"b" (fun () -> Engine.Ivar.read e never);
+  Engine.spawn e ~name:"c" (fun () ->
+      Engine.sleep e 1.;
+      Engine.Ivar.read e never);
+  Engine.spawn e ~name:"waker" (fun () ->
+      Engine.sleep e 2.;
+      Engine.Ivar.fill wake ());
+  match Engine.run e with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock msg ->
+      Alcotest.(check string) "blocked fibers"
+        "simulation deadlock: 3 fiber(s) still blocked [a#1, c#3, b#2]" msg
+
 let test_at_callback () =
   let e = Engine.create () in
   let fired = ref 0. in
@@ -483,6 +506,71 @@ let prop_evq_matches_heap =
       done;
       !ok)
 
+(* The same pin across bucket-array rebuilds: thousands of events, so
+   the queue grows and shrinks through several resizes, scheduled the
+   way a simulation does (relative to the last popped time) with long
+   runs of equal timestamps behind which later inserts land mid-bucket,
+   and far-future outliers that the width estimate must not follow. *)
+let prop_evq_matches_heap_resizing =
+  let delta_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return 0.);
+          (4, map float_of_int (int_bound 8));
+          (3, float_bound_inclusive 50.);
+          (1, oneofl [ 1e5; 1e13 ]);
+        ])
+  in
+  let ops_gen =
+    QCheck.Gen.(
+      int_range 1500 4000 >>= fun n ->
+      list_repeat n (pair (float_bound_inclusive 1.) delta_gen))
+  in
+  QCheck.Test.make ~name:"evq: pop order identical to reference heap across resizes"
+    ~count:40
+    (QCheck.make ops_gen)
+    (fun ops ->
+      let h = Heap.create () in
+      let q = Evq.create () in
+      let seq = ref 0 and now = ref 0. and ok = ref true in
+      let pop_both () =
+        let want = Heap.pop h in
+        let got = Evq.pop q in
+        if got <> want then ok := false;
+        match got with Some (t, _, _) -> now := t | None -> ()
+      in
+      List.iter
+        (fun (p, delta) ->
+          if p < 0.75 then begin
+            incr seq;
+            let time = !now +. delta in
+            Heap.push h ~time ~seq:!seq !seq;
+            Evq.push q ~time ~seq:!seq !seq
+          end
+          else pop_both ())
+        ops;
+      while not (Heap.is_empty h && Evq.is_empty q) do
+        pop_both ()
+      done;
+      !ok)
+
+(* Regression: 513 events 0.01 ns apart at 10^13 ns force a resize to
+   a 0.01 ns bucket width, so virtual bucket numbers reach 10^15.  The
+   scan's window test then rounded differently from the placement and
+   popped events out of (time, seq) order. *)
+let test_evq_large_time_order () =
+  let h = Heap.create () and q = Evq.create () in
+  for i = 0 to 512 do
+    let time = 1e13 +. (float_of_int i *. 0.01) in
+    Heap.push h ~time ~seq:i i;
+    Evq.push q ~time ~seq:i i
+  done;
+  for _ = 0 to 512 do
+    Alcotest.(check (option (triple (float 0.) int int)))
+      "pop" (Heap.pop h) (Evq.pop q)
+  done
+
 (* Engine virtual-time hardening *)
 
 let test_sleep_rejects_bad_durations () =
@@ -676,4 +764,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_heap_sorted;
       QCheck_alcotest.to_alcotest prop_rng_int_in_range;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap;
+      tc "deadlock names blocked fibers in order" `Quick test_deadlock_names_order;
+      QCheck_alcotest.to_alcotest prop_evq_matches_heap_resizing;
+      tc "evq pops closely spaced large times in order" `Quick test_evq_large_time_order;
     ] )
