@@ -16,10 +16,17 @@
    Usage:
      bench_pack.exe [--smoke] [--out FILE]
 
+   It also counts the words that one [Plan.pack], [Plan.unpack] and
+   whole-stream [Plan.pack_range] allocate on every paper kernel.
+
    Writes a JSON report (default BENCH_PACK.json) and exits nonzero if
    the plan is meaningfully slower than the interpreter on the
    contiguous shape, where compilation can win nothing and must at
-   least not regress. *)
+   least not regress, or if any of those calls allocates more than
+   [max_call_words] words: the copy under each block must allocate
+   nothing, so the count may not grow with the kernel's block count.
+   Word counts do not depend on host speed, so that guard cannot
+   flake. *)
 
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
@@ -52,9 +59,7 @@ type shape = {
 let shape name dt ~count =
   let n = max 1 (Dt.ub dt + ((count - 1) * Dt.extent dt)) in
   let src = Buf.create n in
-  for i = 0 to n - 1 do
-    Buf.set_u8 src i ((i * 131 + 17) land 0xff)
-  done;
+  Mpicd_ddtbench.Kernel.fill src;
   { name; dt; count; src }
 
 (* Sizes are bounded by the slowest cell of the matrix: the
@@ -146,6 +151,51 @@ let bench ~reps ~iters ~frag_size { name; dt; count; src } =
     frag_plan_ns;
   }
 
+(* Words allocated by one call of [f], after a warm-up call. *)
+let words_of f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+type alloc_row = {
+  a_name : string;
+  a_blocks : int;
+  pack_words : float;
+  unpack_words : float;
+  range_words : float;
+}
+
+let max_call_words = 32.
+
+let alloc_row (module K : Mpicd_ddtbench.Kernel.KERNEL) =
+  let slab = K.create () and packed = Buf.create K.wire_bytes in
+  let sink = K.create_sink () in
+  {
+    a_name = K.name;
+    a_blocks = Plan.block_count K.plan;
+    pack_words =
+      words_of (fun () -> ignore (Plan.pack K.plan ~count:1 ~src:slab ~dst:packed));
+    unpack_words =
+      words_of (fun () -> Plan.unpack K.plan ~count:1 ~src:packed ~dst:sink);
+    range_words =
+      words_of (fun () ->
+          ignore
+            (Plan.pack_range ~cursor:(Plan.cursor K.plan) K.plan ~count:1
+               ~src:slab ~packed_off:0 ~dst:packed));
+  }
+
+let alloc_ok r =
+  r.pack_words <= max_call_words
+  && r.unpack_words <= max_call_words
+  && r.range_words <= max_call_words
+
+let json_of_alloc_row r =
+  Printf.sprintf
+    {|    { "kernel": %S, "blocks": %d, "pack_words": %.0f, "unpack_words": %.0f,
+      "pack_range_words": %.0f }|}
+    r.a_name r.a_blocks r.pack_words r.unpack_words r.range_words
+
 let speedup interp plan = if plan > 0. then interp /. plan else 0.
 
 let json_of_row r =
@@ -187,6 +237,8 @@ let () =
     && contig.frag_plan_ns <= contig.frag_interp_ns *. 1.5
   in
   let hvec_frag_speedup = speedup hvec.frag_interp_ns hvec.frag_plan_ns in
+  let alloc_rows = List.map alloc_row Mpicd_ddtbench.Registry.paper_kernels in
+  let allocs_ok = List.for_all alloc_ok alloc_rows in
   let oc = open_out !out in
   Printf.fprintf oc
     {|{
@@ -196,15 +248,21 @@ let () =
   "shapes": [
 %s
   ],
+  "allocation": [
+%s
+  ],
   "guard": {
     "contig_never_slower": %b,
-    "hvector_frag_speedup": %.3f
+    "hvector_frag_speedup": %.3f,
+    "max_call_words": %.0f,
+    "allocation_constant": %b
   }
 }
 |}
     !smoke reps iters
     (String.concat ",\n" (List.map json_of_row rows))
-    contig_ok hvec_frag_speedup;
+    (String.concat ",\n" (List.map json_of_alloc_row alloc_rows))
+    contig_ok hvec_frag_speedup max_call_words allocs_ok;
   close_out oc;
   List.iter
     (fun r ->
@@ -214,11 +272,21 @@ let () =
         r.frag_size r.frag_interp_ns r.frag_plan_ns
         (speedup r.frag_interp_ns r.frag_plan_ns))
     rows;
-  Printf.printf "hvector fragmented speedup: %.2fx; contig guard: %s\n"
+  List.iter
+    (fun r ->
+      Printf.printf "%-12s %6d blocks  words: pack %4.0f  unpack %4.0f  pack_range %4.0f\n"
+        r.a_name r.a_blocks r.pack_words r.unpack_words r.range_words)
+    alloc_rows;
+  Printf.printf
+    "hvector fragmented speedup: %.2fx; contig guard: %s; allocation guard (<= %.0f words/call): %s\n"
     hvec_frag_speedup
-    (if contig_ok then "ok" else "FAILED");
-  if not contig_ok then begin
+    (if contig_ok then "ok" else "FAILED")
+    max_call_words
+    (if allocs_ok then "ok" else "FAILED");
+  if not contig_ok then
     prerr_endline
       "bench_pack: compiled plan slower than interpreter on contiguous shape";
-    exit 1
-  end
+  if not allocs_ok then
+    prerr_endline
+      "bench_pack: a plan pack/unpack/pack_range call allocates per block";
+  if not (contig_ok && allocs_ok) then exit 1

@@ -4,9 +4,7 @@ module Derive = Mpicd_derive.Derive
 module Custom = Mpicd.Custom
 
 let fill_pattern ?(seed = 0) b =
-  for i = 0 to Buf.length b - 1 do
-    Buf.set_u8 b i ((i * 31 + seed + 11) land 0xff)
-  done
+  Buf.fill_periodic b ~period:256 (fun i -> (i * 31) + seed + 11)
 
 module Double_vec = struct
   type t = Buf.t array

@@ -3,11 +3,36 @@ type bigstring =
 
 type t = { base : bigstring; off : int; len : int }
 
-let create n =
+external memmove : bigstring -> int -> bigstring -> int -> int -> unit
+  = "mpicd_buf_memmove" [@@noalloc]
+
+external memset : bigstring -> int -> int -> char -> unit
+  = "mpicd_buf_memset" [@@noalloc]
+
+external memeq : bigstring -> int -> bigstring -> int -> int -> bool
+  = "mpicd_buf_memcmp" [@@noalloc]
+
+external memcpy_from_string : string -> int -> bigstring -> int -> int -> unit
+  = "mpicd_buf_from_string" [@@noalloc]
+
+external memcpy_to_bytes : bigstring -> int -> Bytes.t -> int -> int -> unit
+  = "mpicd_buf_to_bytes" [@@noalloc]
+
+external get32u : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+external get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external set32u : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external set64u : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let create_uninit n =
   if n < 0 then invalid_arg "Buf.create: negative length";
-  let base = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-  Bigarray.Array1.fill base '\000';
-  { base; off = 0; len = n }
+  { base = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n; off = 0; len = n }
+
+let create n =
+  let t = create_uninit n in
+  memset t.base 0 n '\000';
+  t
 
 let of_bigstring base = { base; off = 0; len = Bigarray.Array1.dim base }
 
@@ -22,10 +47,11 @@ let sub t ~pos ~len =
 
 let is_empty t = t.len = 0
 
-let check t i n =
-  if i < 0 || i + n > t.len then
-    invalid_arg
-      (Printf.sprintf "Buf: offset %d (+%d) out of range (len %d)" i n t.len)
+let[@inline never] out_of_range t i n =
+  invalid_arg
+    (Printf.sprintf "Buf: offset %d (+%d) out of range (len %d)" i n t.len)
+
+let[@inline] check t i n = if i < 0 || i + n > t.len then out_of_range t i n
 
 let get t i =
   check t i 1;
@@ -38,44 +64,25 @@ let set t i c =
 let get_u8 t i = Char.code (get t i)
 let set_u8 t i v = set t i (Char.chr (v land 0xff))
 
-let get_i32 t i =
+(* The primitives read and write in host order; the buffer format is
+   little-endian on every host. *)
+let[@inline] get_i32 t i =
   check t i 4;
-  let b k = Int32.of_int (Char.code (Bigarray.Array1.unsafe_get t.base (t.off + i + k))) in
-  let ( ||| ) = Int32.logor and ( <<< ) = Int32.shift_left in
-  b 0 ||| (b 1 <<< 8) ||| (b 2 <<< 16) ||| (b 3 <<< 24)
+  let v = get32u t.base (t.off + i) in
+  if Sys.big_endian then bswap32 v else v
 
-let set_i32 t i v =
+let[@inline] set_i32 t i v =
   check t i 4;
-  let put k x =
-    Bigarray.Array1.unsafe_set t.base (t.off + i + k)
-      (Char.unsafe_chr (Int32.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int32.shift_right_logical v 8);
-  put 2 (Int32.shift_right_logical v 16);
-  put 3 (Int32.shift_right_logical v 24)
+  set32u t.base (t.off + i) (if Sys.big_endian then bswap32 v else v)
 
-let get_i64 t i =
+let[@inline] get_i64 t i =
   check t i 8;
-  let b k = Int64.of_int (Char.code (Bigarray.Array1.unsafe_get t.base (t.off + i + k))) in
-  let ( ||| ) = Int64.logor and ( <<< ) = Int64.shift_left in
-  b 0 ||| (b 1 <<< 8) ||| (b 2 <<< 16) ||| (b 3 <<< 24)
-  ||| (b 4 <<< 32) ||| (b 5 <<< 40) ||| (b 6 <<< 48) ||| (b 7 <<< 56)
+  let v = get64u t.base (t.off + i) in
+  if Sys.big_endian then bswap64 v else v
 
-let set_i64 t i v =
+let[@inline] set_i64 t i v =
   check t i 8;
-  let put k x =
-    Bigarray.Array1.unsafe_set t.base (t.off + i + k)
-      (Char.unsafe_chr (Int64.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int64.shift_right_logical v 8);
-  put 2 (Int64.shift_right_logical v 16);
-  put 3 (Int64.shift_right_logical v 24);
-  put 4 (Int64.shift_right_logical v 32);
-  put 5 (Int64.shift_right_logical v 40);
-  put 6 (Int64.shift_right_logical v 48);
-  put 7 (Int64.shift_right_logical v 56)
+  set64u t.base (t.off + i) (if Sys.big_endian then bswap64 v else v)
 
 let get_f64 t i = Int64.float_of_bits (get_i64 t i)
 let set_f64 t i v = set_i64 t i (Int64.bits_of_float v)
@@ -85,77 +92,64 @@ let set_f32 t i v = set_i32 t i (Int32.bits_of_float v)
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
   check dst dst_pos len;
-  (* Small copies dominate the pack loops of the benchmark kernels; a
-     byte loop avoids the cost of materialising two Bigarray views.
-     The byte loop copies forward, which is only memmove-correct when
-     the destination does not overlap the source from above. *)
-  let so = src.off + src_pos and d_o = dst.off + dst_pos in
-  if len <= 64 && (src.base != dst.base || d_o <= so || d_o >= so + len) then
-    for i = 0 to len - 1 do
-      Bigarray.Array1.unsafe_set dst.base (d_o + i)
-        (Bigarray.Array1.unsafe_get src.base (so + i))
-    done
-  else begin
-    let s = Bigarray.Array1.sub src.base so len in
-    let d = Bigarray.Array1.sub dst.base d_o len in
-    Bigarray.Array1.blit s d
-  end
+  memmove src.base (src.off + src_pos) dst.base (dst.off + dst_pos) len
 
-let fill t c =
-  let s = Bigarray.Array1.sub t.base t.off t.len in
-  Bigarray.Array1.fill s c
+let fill t c = memset t.base t.off t.len c
+
+let fill_periodic t ~period f =
+  if period <= 0 then
+    invalid_arg (Printf.sprintf "Buf.fill_periodic: period %d is not positive" period);
+  let head = min period t.len in
+  for i = 0 to head - 1 do
+    Bigarray.Array1.unsafe_set t.base (t.off + i) (Char.unsafe_chr (f i land 0xff))
+  done;
+  (* The filled prefix is always a whole number of periods, so copying
+     it forward keeps byte [i] equal to byte [i mod period]. *)
+  let filled = ref head in
+  while !filled < t.len do
+    let n = min !filled (t.len - !filled) in
+    memmove t.base t.off t.base (t.off + !filled) n;
+    filled := !filled + n
+  done
 
 let copy t =
-  let dst = create t.len in
-  blit ~src:t ~src_pos:0 ~dst ~dst_pos:0 ~len:t.len;
+  let dst = create_uninit t.len in
+  memmove t.base t.off dst.base 0 t.len;
   dst
 
-let equal a b =
-  a.len = b.len
-  &&
-  let rec loop i =
-    i >= a.len
-    || Bigarray.Array1.unsafe_get a.base (a.off + i)
-         = Bigarray.Array1.unsafe_get b.base (b.off + i)
-       && loop (i + 1)
-  in
-  loop 0
+let equal a b = a.len = b.len && memeq a.base a.off b.base b.off a.len
 
 let of_string s =
-  let t = create (String.length s) in
-  String.iteri (fun i c -> Bigarray.Array1.unsafe_set t.base i c) s;
+  let t = create_uninit (String.length s) in
+  memcpy_from_string s 0 t.base 0 t.len;
   t
 
 let to_string t =
-  String.init t.len (fun i -> Bigarray.Array1.unsafe_get t.base (t.off + i))
+  let b = Bytes.create t.len in
+  memcpy_to_bytes t.base t.off b 0 t.len;
+  Bytes.unsafe_to_string b
 
 let blit_from_string s ~src_pos ~dst ~dst_pos ~len =
   if src_pos < 0 || len < 0 || src_pos + len > String.length s then
     invalid_arg "Buf.blit_from_string: source range";
   check dst dst_pos len;
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst.base (dst.off + dst_pos + i)
-      (String.unsafe_get s (src_pos + i))
-  done
+  memcpy_from_string s src_pos dst.base (dst.off + dst_pos) len
 
 let blit_to_bytes ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
   if dst_pos < 0 || dst_pos + len > Bytes.length dst then
     invalid_arg "Buf.blit_to_bytes: destination range";
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_pos + i)
-      (Bigarray.Array1.unsafe_get src.base (src.off + src_pos + i))
-  done
+  memcpy_to_bytes src.base (src.off + src_pos) dst dst_pos len
 
 let concat parts =
   let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
-  let dst = create total in
-  let pos = ref 0 in
-  List.iter
-    (fun p ->
-      blit ~src:p ~src_pos:0 ~dst ~dst_pos:!pos ~len:p.len;
-      pos := !pos + p.len)
-    parts;
+  let dst = create_uninit total in
+  ignore
+    (List.fold_left
+       (fun pos p ->
+         memmove p.base p.off dst.base pos p.len;
+         pos + p.len)
+       0 parts);
   dst
 
 let hexdump ?(max_bytes = 256) t =

@@ -16,6 +16,11 @@ type t = { base : bigstring; off : int; len : int }
 val create : int -> t
 (** [create n] allocates a fresh zero-filled buffer of [n] bytes. *)
 
+val create_uninit : int -> t
+(** [create_uninit n] allocates a fresh buffer of [n] bytes whose
+    contents are unspecified, for a caller that overwrites every byte
+    before reading any. *)
+
 val of_bigstring : bigstring -> t
 
 val length : t -> int
@@ -48,12 +53,23 @@ val set_f64 : t -> int -> float -> unit
 val get_f32 : t -> int -> float
 val set_f32 : t -> int -> float -> unit
 
-(** {1 Bulk operations} *)
+(** {1 Bulk operations}
+
+    Each bulk operation checks its ranges once and then moves the bytes
+    with one C [memmove], [memcpy], [memset] or [memcmp] call that
+    allocates nothing. *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Copy [len] bytes.  Overlapping ranges behave like [memmove]. *)
 
 val fill : t -> char -> unit
+
+val fill_periodic : t -> period:int -> (int -> int) -> unit
+(** [fill_periodic t ~period f] sets byte [i] of [t] to
+    [f (i mod period) land 0xff].  It calls [f] only on the first
+    period and copies that forward, doubling the filled prefix each
+    time.
+    @raise Invalid_argument if [period <= 0]. *)
 
 val copy : t -> t
 (** Deep copy into a fresh buffer of the same length. *)

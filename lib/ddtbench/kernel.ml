@@ -26,10 +26,7 @@ module type KERNEL = sig
   val custom_regions : Buf.t Custom.t option
 end
 
-let fill b =
-  for i = 0 to Buf.length b - 1 do
-    Buf.set_u8 b i ((i * 131 + 17) land 0xff)
-  done
+let fill b = Buf.fill_periodic b ~period:256 (fun i -> (i * 131) + 17)
 
 module Make (S : SPEC) : KERNEL = struct
   include S

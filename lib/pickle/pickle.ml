@@ -64,44 +64,64 @@ let op_stop = 0x2E
 
 (* --- writer --- *)
 
+(* The writer sizes the stream first, then writes it once into a buffer
+   of exactly that size.  [oob_threshold = None] keeps everything
+   in-band (protocol 4). *)
 module Writer = struct
-  type w = { buf : Buffer.t; mutable oob : Buf.t list; oob_threshold : int option }
-  (* oob_threshold = None -> everything in-band (protocol 4) *)
+  let goes_oob oob_threshold b ~force_oob =
+    match oob_threshold with
+    | None -> false
+    | Some thr -> force_oob || Buf.length b >= thr
 
-  let create oob_threshold = { buf = Buffer.create 256; oob = []; oob_threshold }
+  (* Opcode + index + length out of band; opcode + length + bytes in band. *)
+  let payload_size oob_threshold b ~force_oob =
+    if goes_oob oob_threshold b ~force_oob then 9 else 5 + Buf.length b
 
-  let u8 w v = Buffer.add_char w.buf (Char.chr (v land 0xff))
+  let rec size thr = function
+    | None_ | Bool _ -> 1
+    | Int _ | Float _ -> 9
+    | Str s -> 5 + String.length s
+    | Bytes b -> payload_size thr b ~force_oob:false
+    | List items | Tuple items ->
+        List.fold_left (fun acc v -> acc + size thr v) 5 items
+    | Dict pairs ->
+        List.fold_left (fun acc (k, v) -> acc + size thr k + size thr v) 5 pairs
+    | Ndarray a ->
+        3 + (4 * Array.length a.shape) + payload_size thr a.data ~force_oob:true
+
+  type w = {
+    buf : Buf.t;
+    mutable pos : int;
+    mutable oob : Buf.t list;
+    oob_threshold : int option;
+  }
+
+  let u8 w v =
+    Buf.set_u8 w.buf w.pos v;
+    w.pos <- w.pos + 1
 
   let i32 w v =
-    u8 w v;
-    u8 w (v lsr 8);
-    u8 w (v lsr 16);
-    u8 w (v lsr 24)
+    Buf.set_i32 w.buf w.pos (Int32.of_int v);
+    w.pos <- w.pos + 4
 
   let i64 w v =
-    for k = 0 to 7 do
-      u8 w (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
-    done
-
-  let raw w (b : Buf.t) = Buffer.add_string w.buf (Buf.to_string b)
+    Buf.set_i64 w.buf w.pos v;
+    w.pos <- w.pos + 8
 
   (* Emit a payload either in-band or as an out-of-band reference. *)
   let payload w (b : Buf.t) ~force_oob =
-    let oob =
-      match w.oob_threshold with
-      | None -> false
-      | Some thr -> force_oob || Buf.length b >= thr
-    in
-    if oob then begin
+    let len = Buf.length b in
+    if goes_oob w.oob_threshold b ~force_oob then begin
       u8 w op_oob;
       i32 w (List.length w.oob);
-      i32 w (Buf.length b);
+      i32 w len;
       w.oob <- b :: w.oob
     end
     else begin
       u8 w op_bytes;
-      i32 w (Buf.length b);
-      raw w b
+      i32 w len;
+      Buf.blit ~src:b ~src_pos:0 ~dst:w.buf ~dst_pos:w.pos ~len;
+      w.pos <- w.pos + len
     end
 
   let rec value w = function
@@ -115,9 +135,11 @@ module Writer = struct
         u8 w op_float;
         i64 w (Int64.bits_of_float f)
     | Str s ->
+        let len = String.length s in
         u8 w op_str;
-        i32 w (String.length s);
-        Buffer.add_string w.buf s
+        i32 w len;
+        Buf.blit_from_string s ~src_pos:0 ~dst:w.buf ~dst_pos:w.pos ~len;
+        w.pos <- w.pos + len
     | Bytes b -> payload w b ~force_oob:false
     | List items ->
         u8 w op_list;
@@ -143,20 +165,19 @@ module Writer = struct
         (* NumPy buffers always go out-of-band under protocol 5. *)
         payload w a.data ~force_oob:true
 
-  let finish w =
+  let write oob_threshold v =
+    (* Every byte of the stream is written below, so it needs no fill. *)
+    let buf = Buf.create_uninit (size oob_threshold v + 1) in
+    let w = { buf; pos = 0; oob = []; oob_threshold } in
+    value w v;
     u8 w op_stop;
-    (Buf.of_string (Buffer.contents w.buf), List.rev w.oob)
+    assert (w.pos = Buf.length buf);
+    (buf, List.rev w.oob)
 end
 
-let dumps v =
-  let w = Writer.create None in
-  Writer.value w v;
-  fst (Writer.finish w)
+let dumps v = fst (Writer.write None v)
 
-let dumps_oob ?(oob_threshold = 1024) v =
-  let w = Writer.create (Some oob_threshold) in
-  Writer.value w v;
-  Writer.finish w
+let dumps_oob ?(oob_threshold = 1024) v = Writer.write (Some oob_threshold) v
 
 (* --- reader --- *)
 
@@ -165,22 +186,27 @@ module Reader = struct
 
   let create src buffers = { src; pos = 0; buffers = Array.of_list buffers }
 
+  let need r n =
+    if r.pos + n > Buf.length r.src then raise (Corrupt "truncated stream")
+
   let u8 r =
-    if r.pos >= Buf.length r.src then raise (Corrupt "truncated stream");
+    need r 1;
     let v = Buf.get_u8 r.src r.pos in
     r.pos <- r.pos + 1;
     v
 
+  (* Lengths, counts and indices are unsigned 32-bit fields. *)
   let i32 r =
-    let a = u8 r and b = u8 r and c = u8 r and d = u8 r in
-    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+    need r 4;
+    let v = Int32.to_int (Buf.get_i32 r.src r.pos) land 0xffff_ffff in
+    r.pos <- r.pos + 4;
+    v
 
   let i64 r =
-    let v = ref 0L in
-    for k = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (u8 r)) (8 * k))
-    done;
-    !v
+    need r 8;
+    let v = Buf.get_i64 r.src r.pos in
+    r.pos <- r.pos + 8;
+    v
 
   let raw r n =
     if n < 0 || r.pos + n > Buf.length r.src then

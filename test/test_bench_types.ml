@@ -255,6 +255,23 @@ let test_human_bytes () =
   Alcotest.(check string) "odd" "3000" (Report.human_bytes 3000);
   Alcotest.(check string) "64" "64" (Report.human_bytes 64)
 
+(* [Double_vec.generate] fills subvector [k] with [fill_pattern ~seed:k],
+   which copies its first 256 bytes forward; every byte must still be
+   the formula's, also at lengths that are not a multiple of 256. *)
+let test_fill_pattern_formula () =
+  List.iter
+    (fun (subvec_bytes, total_bytes) ->
+      let dv = B.Double_vec.generate ~subvec_bytes ~total_bytes in
+      Array.iteri
+        (fun seed b ->
+          for i = 0 to Buf.length b - 1 do
+            if Buf.get_u8 b i <> (i * 31 + seed + 11) land 0xff then
+              Alcotest.failf "fill_pattern: length %d, seed %d, byte %d"
+                (Buf.length b) seed i
+          done)
+        dv)
+    [ (1, 3); (255, 255); (256, 1024); (257, 2000); (4099, 5000); (70_001, 70_000) ]
+
 let suite =
   let tc = Alcotest.test_case in
   ( "bench_types",
@@ -277,4 +294,5 @@ let suite =
       tc "report render" `Quick test_report_render;
       tc "csv roundtrip" `Quick test_csv_roundtrip;
       tc "human bytes" `Quick test_human_bytes;
+      tc "fill_pattern = formula" `Quick test_fill_pattern_formula;
     ] )

@@ -190,6 +190,173 @@ let prop_concat_length =
       Buf.length (Buf.concat bufs)
       = List.fold_left (fun acc s -> acc + String.length s) 0 parts)
 
+(* Differential properties: the memmove/memcpy/memcmp stubs and the
+   word-wide scalar accessors against the byte-wise versions kept in
+   Buf_ref, including the exceptions raised on out-of-range
+   arguments. *)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error msg
+
+(* A base of [n] pattern bytes. *)
+let patterned n seed =
+  let b = Buf.create n in
+  for i = 0 to n - 1 do
+    Buf.set_u8 b i ((i * 7) + seed)
+  done;
+  b
+
+(* Run [f] against the production and the reference blit on twin
+   copies of one base and compare exceptions and resulting bytes. *)
+let same_blit ~n ~seed ~two_bases ~src_view ~dst_view ~src_pos ~dst_pos ~len =
+  let run blit =
+    let base = patterned n seed in
+    let other = if two_bases then patterned n (seed + 1) else base in
+    let view b (pos, l) = Buf.sub b ~pos ~len:l in
+    let r =
+      outcome (fun () ->
+          blit ~src:(view base src_view) ~src_pos ~dst:(view other dst_view)
+            ~dst_pos ~len)
+    in
+    (r, Buf.to_string base, Buf.to_string other)
+  in
+  run Buf.blit = run Buf_ref.blit
+
+let gen_view n =
+  QCheck.Gen.(
+    int_bound (n - 1) >>= fun pos -> map (fun l -> (pos, l)) (int_bound (n - pos)))
+
+let prop_blit_matches_reference =
+  let n = 400 in
+  QCheck.Test.make ~name:"buf: blit = byte-wise reference (slices, overlap, range)"
+    ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (two, ((sp, sl), (dp, dl)), (a, b, len)) ->
+          Printf.sprintf "two_bases=%b src=(%d,%d) dst=(%d,%d) src_pos=%d dst_pos=%d len=%d"
+            two sp sl dp dl a b len)
+        Gen.(
+          triple bool (pair (gen_view n) (gen_view n))
+            (triple (-2 -- 310) (-2 -- 310) (-2 -- 300))))
+    (fun (two_bases, (src_view, dst_view), (src_pos, dst_pos, len)) ->
+      same_blit ~n ~seed:3 ~two_bases ~src_view ~dst_view ~src_pos ~dst_pos ~len)
+
+let test_blit_large_matches_reference () =
+  let n = 300_000 in
+  List.iter
+    (fun (two_bases, src_off, dst_off, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "blit %d -> %d len %d two_bases=%b" src_off dst_off len
+           two_bases)
+        true
+        (same_blit ~n ~seed:5 ~two_bases ~src_view:(src_off, n - src_off)
+           ~dst_view:(dst_off, n - dst_off) ~src_pos:0 ~dst_pos:0 ~len))
+    [
+      (true, 3, 11, 65536);
+      (false, 0, 4097, 65536);
+      (false, 4097, 0, 65536);
+      (false, 1, 7, 150_001);
+      (false, 100_003, 17, 150_001);
+      (true, 0, 0, 299_999);
+    ]
+
+let prop_scalars_match_reference =
+  QCheck.Test.make ~name:"buf: scalar accessors = byte-wise reference (unaligned)"
+    ~count:1000
+    QCheck.(quad (int_bound 7) (-3 -- 28) int64 small_nat)
+    (fun (view_off, i, v, seed) ->
+      let pair () =
+        let a = Buf.sub (patterned 40 seed) ~pos:view_off ~len:24 in
+        let b = Buf.sub (patterned 40 seed) ~pos:view_off ~len:24 in
+        (a, b)
+      in
+      let same_get get ref_get =
+        let a, _ = pair () in
+        outcome (fun () -> get a i) = outcome (fun () -> ref_get a i)
+      in
+      let same_set set ref_set x =
+        let a, b = pair () in
+        outcome (fun () -> set a i x) = outcome (fun () -> ref_set b i x)
+        && Buf.equal a b
+      in
+      let v32 = Int64.to_int32 v and f = Int64.float_of_bits v in
+      let bits32 x = Result.map Int32.bits_of_float x
+      and bits64 x = Result.map Int64.bits_of_float x in
+      same_get Buf.get_i32 Buf_ref.get_i32
+      && same_get Buf.get_i64 Buf_ref.get_i64
+      && (let a, _ = pair () in
+          bits64 (outcome (fun () -> Buf.get_f64 a i))
+          = bits64 (outcome (fun () -> Buf_ref.get_f64 a i)))
+      && (let a, _ = pair () in
+          bits32 (outcome (fun () -> Buf.get_f32 a i))
+          = bits32 (outcome (fun () -> Buf_ref.get_f32 a i)))
+      && same_set Buf.set_i32 Buf_ref.set_i32 v32
+      && same_set Buf.set_i64 Buf_ref.set_i64 v
+      && same_set Buf.set_f64 Buf_ref.set_f64 f
+      && same_set Buf.set_f32 Buf_ref.set_f32 (Int32.float_of_bits v32))
+
+let prop_strings_match_reference =
+  QCheck.Test.make
+    ~name:"buf: to/of_string, string/bytes blits, equal = byte-wise reference"
+    ~count:1000
+    QCheck.(
+      pair (string_of_size Gen.(0 -- 300))
+        (quad (int_bound 8) (-2 -- 310) (-2 -- 310) (-2 -- 300)))
+    (fun (s, (view_off, src_pos, dst_pos, len)) ->
+      let n = String.length s in
+      let view_off = min view_off n in
+      let view b = Buf.sub b ~pos:view_off ~len:(n - view_off) in
+      let strings_ok =
+        Buf.to_string (Buf.of_string s) = s
+        && Buf.to_string (view (Buf.of_string s))
+           = Buf_ref.to_string (view (Buf_ref.of_string s))
+      in
+      let from_string_ok =
+        let a = Buf.of_string s and b = Buf.of_string s in
+        outcome (fun () -> Buf.blit_from_string s ~src_pos ~dst:(view a) ~dst_pos ~len)
+        = outcome (fun () ->
+              Buf_ref.blit_from_string s ~src_pos ~dst:(view b) ~dst_pos ~len)
+        && Buf.to_string a = Buf_ref.to_string b
+      in
+      let to_bytes_ok =
+        let src = view (Buf.of_string s) in
+        let a = Bytes.make n '.' and b = Bytes.make n '.' in
+        outcome (fun () -> Buf.blit_to_bytes ~src ~src_pos ~dst:a ~dst_pos ~len)
+        = outcome (fun () -> Buf_ref.blit_to_bytes ~src ~src_pos ~dst:b ~dst_pos ~len)
+        && Bytes.equal a b
+      in
+      let equal_ok =
+        let a = view (Buf.of_string s) in
+        let flipped = Buf.copy a in
+        if Buf.length flipped > 0 then begin
+          let k = abs len mod Buf.length flipped in
+          Buf.set_u8 flipped k (Buf.get_u8 flipped k lxor 1)
+        end;
+        let cases = [ (a, Buf.copy a); (a, flipped); (a, Buf.of_string s) ] in
+        List.for_all (fun (x, y) -> Buf.equal x y = Buf_ref.equal x y) cases
+        && Buf.equal (Buf.copy a) (Buf_ref.copy a)
+        && Buf.equal
+             (Buf.concat [ a; Buf.of_string s; a ])
+             (Buf_ref.concat [ a; Buf.of_string s; a ])
+      in
+      strings_ok && from_string_ok && to_bytes_ok && equal_ok)
+
+let test_fill_periodic () =
+  List.iter
+    (fun (n, period) ->
+      let b = Buf.sub (Buf.create (n + 3)) ~pos:3 ~len:n in
+      Buf.fill_periodic b ~period (fun i -> (i * 7) + 9);
+      for i = 0 to n - 1 do
+        check_int (Printf.sprintf "n=%d period=%d byte %d" n period i)
+          ((((i mod period) * 7) + 9) land 0xff) (Buf.get_u8 b i)
+      done)
+    [ (0, 4); (1, 1); (3, 5); (5, 5); (9, 3); (256, 7); (1000, 256); (70_001, 256) ];
+  Alcotest.check_raises "period 0"
+    (Invalid_argument "Buf.fill_periodic: period 0 is not positive")
+    (fun () -> Buf.fill_periodic (Buf.create 4) ~period:0 Fun.id)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "buf",
@@ -217,4 +384,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_sub_consistent;
       QCheck_alcotest.to_alcotest prop_i64_any;
       QCheck_alcotest.to_alcotest prop_concat_length;
+      QCheck_alcotest.to_alcotest prop_blit_matches_reference;
+      tc "blit >= 64 KiB = reference" `Quick test_blit_large_matches_reference;
+      QCheck_alcotest.to_alcotest prop_scalars_match_reference;
+      QCheck_alcotest.to_alcotest prop_strings_match_reference;
+      tc "fill_periodic" `Quick test_fill_periodic;
     ] )

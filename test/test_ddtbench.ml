@@ -266,6 +266,19 @@ let prop_blocks_random_fragmentation =
       done;
       Buf.equal whole out)
 
+(* [fill] copies its first 256 bytes forward; every byte must still be
+   the formula's, also at lengths that are not a multiple of 256. *)
+let test_fill_formula () =
+  List.iter
+    (fun n ->
+      let b = Buf.create n in
+      Kernel.fill b;
+      for i = 0 to n - 1 do
+        if Buf.get_u8 b i <> (i * 131 + 17) land 0xff then
+          Alcotest.failf "fill: length %d, byte %d" n i
+      done)
+    [ 0; 1; 255; 256; 257; 511; 1000; 65_537; 300_001 ]
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ddtbench",
@@ -287,4 +300,5 @@ let suite =
       tc "registry" `Quick test_registry;
       tc "Table I contents" `Quick test_table1_contents;
       QCheck_alcotest.to_alcotest prop_blocks_random_fragmentation;
+      tc "fill = formula" `Quick test_fill_formula;
     ] )

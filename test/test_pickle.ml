@@ -192,6 +192,55 @@ let prop_roundtrip_oob =
       let header, buffers = P.dumps_oob ~oob_threshold:16 v in
       P.equal v (P.loads ~buffers header))
 
+(* The exact-size writer against the growable-Buffer writer kept in
+   Pickle_ref: same stream bytes and same out-of-band buffers, on
+   graphs with byte payloads on both sides of the threshold, typed
+   arrays of every dtype and strings. *)
+let gen_pickle_payloads =
+  let open QCheck.Gen in
+  let bytes_of n seed =
+    let b = Buf.create n in
+    for i = 0 to n - 1 do
+      Buf.set_u8 b i ((i * 13) + seed)
+    done;
+    b
+  in
+  let dtype = oneofl [ P.F64; P.F32; P.I64; P.I32; P.U8 ] in
+  let leaf =
+    oneof
+      [
+        map (fun i -> P.Int i) (map Int64.of_int int);
+        map (fun f -> P.Float f) float;
+        map (fun s -> P.Str s) (string_size (0 -- 80));
+        map2 (fun n seed -> P.Bytes (bytes_of n seed)) (0 -- 2100) nat;
+        map2
+          (fun (dtype, shape) seed ->
+            let a = P.ndarray ~dtype shape in
+            Buf.blit ~src:(bytes_of (Buf.length a.data) seed) ~src_pos:0
+              ~dst:a.data ~dst_pos:0 ~len:(Buf.length a.data);
+            P.Ndarray a)
+          (pair dtype (array_size (0 -- 3) (0 -- 9)))
+          nat;
+        gen_pickle;
+      ]
+  in
+  map (fun l -> P.List l) (list_size (0 -- 6) leaf)
+
+let prop_writer_matches_reference =
+  QCheck.Test.make ~name:"pickle: dumps/dumps_oob = Buffer writer reference"
+    ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp) gen_pickle_payloads)
+    (fun v ->
+      let same_oob a b =
+        List.length a = List.length b && List.for_all2 Buf.same_memory a b
+      in
+      let h, oob = P.dumps_oob ~oob_threshold:512 v
+      and rh, roob = Pickle_ref.dumps_oob ~oob_threshold:512 v in
+      let h', oob' = P.dumps_oob v and rh', roob' = Pickle_ref.dumps_oob v in
+      Buf.equal (P.dumps v) (Pickle_ref.dumps v)
+      && Buf.equal h rh && same_oob oob roob
+      && Buf.equal h' rh' && same_oob oob' roob')
+
 let suite =
   let tc = Alcotest.test_case in
   ( "pickle",
@@ -213,4 +262,5 @@ let suite =
       tc "payload_bytes" `Quick test_payload_bytes;
       QCheck_alcotest.to_alcotest prop_roundtrip_inband;
       QCheck_alcotest.to_alcotest prop_roundtrip_oob;
+      QCheck_alcotest.to_alcotest prop_writer_matches_reference;
     ] )
